@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, detector, evaluation, preprocess, synthplant, training
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .models import (
     DenseAutoencoder,
     LstmAutoencoder,
@@ -211,15 +211,30 @@ def _write_labels(path, row_indices, timestamps, flags) -> None:
             writer.writerow([int(i), dataset.format_timestamp(ts), int(flag)])
 
 
-def _read_labels(path) -> tuple[np.ndarray, list[str]]:
-    """Returns (flags over all rows, timestamp strings per row)."""
-    rows = []
+def _read_csv_rows(path, parse) -> list:
+    """parse(row) for each non-empty row after the header; an empty file or
+    a row that does not parse raises ParseError with the file and row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ParseError(f"{path}: row 1: missing header")
+        rows = []
         for row in reader:
             if row:
-                rows.append((int(row[0]), row[1], bool(int(row[2]))))
+                try:
+                    rows.append(parse(row))
+                except (IndexError, ValueError) as exc:
+                    raise ParseError(
+                        f"{path}: row {reader.line_num}: cannot parse {row!r} ({exc})"
+                    ) from None
+    return rows
+
+
+def _read_labels(path) -> tuple[np.ndarray, list[str]]:
+    """Returns (flags over all rows, timestamp strings per row)."""
+    rows = _read_csv_rows(
+        path, lambda row: (int(row[0]), row[1], bool(int(row[2])))
+    )
     rows.sort()
     n = rows[-1][0] + 1 if rows else 0
     flags = np.zeros(n, dtype=bool)
@@ -456,16 +471,10 @@ def cmd_eval(config: RunConfig) -> int:
     plan, _train, _val, test_m, _names, labels, _stamps, _scaler = \
         _load_prepared(config)
 
-    indices, flags = [], []
-    with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                indices.append(int(row[0]))
-                flags.append(bool(int(row[3])))
-    indices = np.array(indices, dtype=np.int64)
-    flags = np.array(flags, dtype=bool)
+    rows = _read_csv_rows(out / "scores.csv",
+                          lambda row: (int(row[0]), bool(int(row[3]))))
+    indices = np.array([i for i, _ in rows], dtype=np.int64)
+    flags = np.array([flag for _, flag in rows], dtype=bool)
 
     if bundle.threshold.kind == "mse_window":
         full = _assemble_rows(labels.size, test_m.shape[1],

@@ -88,7 +88,7 @@ def score_window_mse(
 ) -> ScoreSeries:
     """Per-window mean squared residual over all T*d entries."""
     w = np.asarray(windows, dtype=np.float64)
-    what, _ = model.forward(w)
+    what, _ = model.forward(w, cache=False)
     r = what - w
     scores = np.mean(r * r, axis=(1, 2))
     return ScoreSeries(scores, _default_indices(w.shape[0], indices),

@@ -51,12 +51,13 @@ class DenseAutoencoder:
     def latent_width(self) -> int:
         return self.hidden_sizes[-1]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent)."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (reconstruction, latent); cache=False is the inference
+        pass, which `backward` cannot follow."""
         h = np.asarray(x, dtype=np.float64)
         latent = None
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
+            h = layer.forward(h, cache)
             if i == self._bottleneck:
                 latent = h
         return h, latent
@@ -68,7 +69,7 @@ class DenseAutoencoder:
         return g
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[1]
+        return self.forward(x, cache=False)[1]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -108,8 +109,9 @@ class LstmAutoencoder:
     def latent_width(self) -> int:
         return self.encoder_units[1]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent); latent is the encoder end state."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (reconstruction, latent); latent is the encoder end state.
+        cache=False is the inference pass, which `backward` cannot follow."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.window_length or x.shape[2] != self.d:
             raise ValidationError(
@@ -118,7 +120,7 @@ class LstmAutoencoder:
         h = x
         latent = None
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
+            h = layer.forward(h, cache)
             if i == 1:
                 latent = h
         return h, latent
@@ -130,7 +132,7 @@ class LstmAutoencoder:
         return g
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[1]
+        return self.forward(x, cache=False)[1]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -171,7 +173,7 @@ def _lstm_layer_doc(layer: LstmLayer) -> dict:
         "units": u,
         "return_sequences": layer.return_sequences,
     }
-    for k, gate in enumerate(("input", "forget", "candidate", "output")):
+    for k, gate in enumerate(LstmLayer.GATES):
         rows = slice(k * u, (k + 1) * u)
         doc[f"W_{gate}"] = layer.Wx[rows].ravel().tolist()
         doc[f"U_{gate}"] = layer.Wh[rows].ravel().tolist()
@@ -208,7 +210,7 @@ def _load_lstm_layer(doc: dict, layer: LstmLayer) -> None:
     if doc.get("in") != layer.in_size or doc.get("units") != layer.units:
         raise ModelFormatError("lstm layer shape does not match architecture")
     u = layer.units
-    for k, gate in enumerate(("input", "forget", "candidate", "output")):
+    for k, gate in enumerate(LstmLayer.GATES):
         rows = slice(k * u, (k + 1) * u)
         layer.Wx[rows] = _doc_array(doc, f"W_{gate}", (u, layer.in_size))
         layer.Wh[rows] = _doc_array(doc, f"U_{gate}", (u, u))

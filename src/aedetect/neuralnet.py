@@ -2,8 +2,10 @@
 backward passes, Adam, and the two training callbacks.
 
 Everything is float64. Layers keep the forward cache on the instance, so one
-layer object serves one forward/backward pair at a time; parameters are plain
-numpy arrays updated in place by the optimizer.
+layer object serves one forward/backward pair at a time; `forward(x,
+cache=False)` is the inference pass, which keeps nothing and cannot be
+followed by `backward`. Parameters are plain numpy arrays updated in place by
+the optimizer.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: 1/(1+e) where x >= 0 and e/(1+e)
+    elsewhere, with e = exp(-|x|); min(x, -x) keeps a NaN's sign. `out` may
+    alias `x`."""
+    e = np.exp(np.minimum(x, -x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -30,6 +31,29 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
+
+
+def _steps_product(a: np.ndarray, w: np.ndarray, time_major: bool = False) -> np.ndarray:
+    """Every row of a (batch, T, k) times w (k, n) in one product over the
+    batch*T rows; returned as (batch, T, n), or as (T, batch, n) when
+    time_major. Each row rounds as in numpy's stacked product `a @ w`, which
+    multiplies item by item, except that it takes one-row items (T = 1) as
+    vector-matrix products; that case keeps the stacked form."""
+    batch, steps, k = a.shape
+    if steps == 1:
+        out = a @ w
+        return out.transpose(1, 0, 2) if time_major else out
+    if time_major:
+        a = np.ascontiguousarray(a.transpose(1, 0, 2))
+    return (a.reshape(-1, k) @ w).reshape(a.shape[0], a.shape[1], w.shape[1])
+
+
+def _cached(cache, layer: str):
+    if cache is None:
+        raise ValidationError(
+            f"{layer} backward needs a preceding forward(x, cache=True)"
+        )
+    return cache
 
 
 class DenseLayer:
@@ -49,7 +73,7 @@ class DenseLayer:
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ValidationError(
@@ -58,11 +82,11 @@ class DenseLayer:
         z = x @ self.W.T + self.b
         y = np.tanh(z) if self.activation == "tanh" else z
         _check_finite(y, "dense forward")
-        self._cache = (x, y)
+        self._cache = (x, y) if cache else None
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, y = self._cache
+        x, y = _cached(self._cache, "dense")
         if self.activation == "tanh":
             dz = grad_out * (1.0 - y * y)
         else:
@@ -78,17 +102,21 @@ class DenseLayer:
         return [self.grad_W, self.grad_b]
 
 
-# gate slot order inside the stacked LSTM weight matrices
-GATE_ORDER = ("input", "forget", "candidate", "output")
-
-
 class LstmLayer:
     """Standard LSTM over (batch, T, in) inputs.
 
     Per step: i = sig(x Wi' + h Ui' + bi), f, o likewise, g = tanh(...),
     c <- f*c + i*g, h <- o*tanh(c). Weights are stored stacked as
-    Wx (4u, in), Wh (4u, u), b (4u,) in GATE_ORDER; forget bias starts at 1.
+    Wx (4u, in), Wh (4u, u), b (4u,) in GATES order; forget bias starts at 1.
+
+    Per-step state is feature-major: gates (T, 4u, batch), cells and hidden
+    states (T, u, batch), so every gate block is one contiguous (u, batch)
+    array and i, f share one sigmoid call. Products keep the (batch, features)
+    operand order and weight gradients sum rows in (batch, time) order, so
+    every float equals that of the batch-major textbook form.
     """
+
+    GATES = ("input", "forget", "candidate", "output")
 
     def __init__(self, in_size: int, units: int, return_sequences: bool,
                  rng: np.random.Generator | None = None):
@@ -105,11 +133,7 @@ class LstmLayer:
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
 
-    def _gate(self, name: str) -> slice:
-        k = GATE_ORDER.index(name)
-        return slice(k * self.units, (k + 1) * self.units)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.in_size:
             raise ValidationError(
@@ -117,67 +141,84 @@ class LstmLayer:
             )
         batch, steps, _ = x.shape
         u = self.units
-        xp = x @ self.Wx.T  # (batch, T, 4u), input contribution for all steps
-        h = np.zeros((batch, u))
-        c = np.zeros((batch, u))
-        gates = np.empty((batch, steps, 4 * u))
-        cells = np.empty((batch, steps, u))
-        tanh_c = np.empty((batch, steps, u))
-        hs = np.empty((batch, steps, u))
-        h_prev = np.empty((batch, steps, u))
-        c_prev = np.empty((batch, steps, u))
+        xp = _steps_product(x, self.Wx.T, time_major=True)  # (T, batch, 4u)
+        # without a cache, one slot of each per-step buffer is reused, except
+        # for the hidden states when the whole sequence is returned
+        kept = steps if cache else 1
+        gates = np.empty((kept, 4 * u, batch))
+        cells = np.empty((kept, u, batch))
+        tanh_c = np.empty((kept, u, batch))
+        hs = np.empty((steps if cache or self.return_sequences else 1, u, batch))
+        h = np.zeros((u, batch))
+        c = np.zeros((u, batch))
+        ig = np.empty((u, batch))
         for t in range(steps):
-            h_prev[:, t] = h
-            c_prev[:, t] = c
-            a = xp[:, t] + h @ self.Wh.T + self.b
-            i = sigmoid(a[:, : u])
-            f = sigmoid(a[:, u : 2 * u])
-            g = np.tanh(a[:, 2 * u : 3 * u])
-            o = sigmoid(a[:, 3 * u :])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[:, t, : u] = i
-            gates[:, t, u : 2 * u] = f
-            gates[:, t, 2 * u : 3 * u] = g
-            gates[:, t, 3 * u :] = o
-            cells[:, t] = c
-            tanh_c[:, t] = tc
-            hs[:, t] = h
+            pre = xp[t]
+            pre += h.T @ self.Wh.T
+            pre += self.b
+            a = gates[t % kept]
+            a[...] = pre.T
+            sigmoid(a[: 2 * u], out=a[: 2 * u])
+            np.tanh(a[2 * u : 3 * u], out=a[2 * u : 3 * u])
+            sigmoid(a[3 * u :], out=a[3 * u :])
+            np.multiply(a[:u], a[2 * u : 3 * u], out=ig)
+            c = np.multiply(a[u : 2 * u], c, out=cells[t % kept])
+            c += ig
+            tc = np.tanh(c, out=tanh_c[t % kept])
+            h = np.multiply(a[3 * u :], tc, out=hs[t % hs.shape[0]])
         _check_finite(hs, "lstm forward")
-        self._cache = (x, gates, cells, tanh_c, hs, h_prev, c_prev)
-        return hs if self.return_sequences else hs[:, -1]
+        self._cache = (x, gates, cells, tanh_c, hs) if cache else None
+        if self.return_sequences:
+            return np.ascontiguousarray(hs.transpose(2, 0, 1))
+        return h.T
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, gates, cells, tanh_c, hs, h_prev, c_prev = self._cache
-        batch, steps, _ = x.shape
-        u = self.units
+        x, gates, cells, tanh_c, hs = _cached(self._cache, "lstm")
+        steps, u, batch = hs.shape
+        dhs = np.zeros((steps, u, batch))
         if self.return_sequences:
-            dhs = np.asarray(grad_out, dtype=np.float64)
+            dhs[...] = np.transpose(grad_out, (1, 2, 0))
         else:
-            dhs = np.zeros((batch, steps, u))
-            dhs[:, -1] = grad_out
-        da = np.empty((batch, steps, 4 * u))  # pre-activation gate grads
-        dh_next = np.zeros((batch, u))
-        dc_next = np.zeros((batch, u))
+            dhs[-1] = np.transpose(grad_out)
+        # pre-activation gate grads: d holds one step, da every step in
+        # (batch, time) row order for the weight gradients
+        da = np.empty((batch, steps, 4 * u))
+        d = np.empty((4 * u, batch))
+        di, df, dg, do = (d[k * u : (k + 1) * u] for k in range(4))
+        dh = np.empty((u, batch))
+        dc = np.empty((u, batch))
+        dh_next = np.zeros((u, batch))
+        dc_next = np.zeros((u, batch))
+        c_zero = np.zeros((u, batch))
         for t in range(steps - 1, -1, -1):
-            i = gates[:, t, : u]
-            f = gates[:, t, u : 2 * u]
-            g = gates[:, t, 2 * u : 3 * u]
-            o = gates[:, t, 3 * u :]
-            dh = dhs[:, t] + dh_next
-            dc = dh * o * (1.0 - tanh_c[:, t] ** 2) + dc_next
-            da[:, t, : u] = dc * g * i * (1.0 - i)
-            da[:, t, u : 2 * u] = dc * c_prev[:, t] * f * (1.0 - f)
-            da[:, t, 2 * u : 3 * u] = dc * i * (1.0 - g * g)
-            da[:, t, 3 * u :] = dh * tanh_c[:, t] * o * (1.0 - o)
-            dh_next = da[:, t] @ self.Wh
-            dc_next = dc * f
+            i, f, g, o = (gates[t, k * u : (k + 1) * u] for k in range(4))
+            one_minus = 1.0 - gates[t]
+            c_prev = cells[t - 1] if t else c_zero
+            np.add(dhs[t], dh_next, out=dh)
+            np.multiply(dh, o, out=dc)
+            dc *= 1.0 - tanh_c[t] ** 2
+            dc += dc_next
+            np.multiply(dc, g, out=di)
+            di *= i
+            di *= one_minus[:u]
+            np.multiply(dc, c_prev, out=df)
+            df *= f
+            df *= one_minus[u : 2 * u]
+            np.multiply(dc, i, out=dg)
+            dg *= 1.0 - g * g
+            np.multiply(dh, tanh_c[t], out=do)
+            do *= o
+            do *= one_minus[3 * u :]
+            da[:, t] = d.T
+            dh_next = (da[:, t] @ self.Wh).T
+            np.multiply(dc, f, out=dc_next)
         da_flat = da.reshape(batch * steps, 4 * u)
+        h_prev = np.zeros((batch, steps, u))
+        h_prev[:, 1:] = hs[:-1].transpose(2, 0, 1)
         self.grad_Wx = da_flat.T @ x.reshape(batch * steps, self.in_size)
         self.grad_Wh = da_flat.T @ h_prev.reshape(batch * steps, u)
         self.grad_b = da_flat.sum(axis=0)
-        return da @ self.Wx
+        return _steps_product(da, self.Wx)
 
     def parameters(self):
         return [self.Wx, self.Wh, self.b]
@@ -192,7 +233,7 @@ class RepeatVector:
     def __init__(self, steps: int):
         self.steps = steps
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 2:
             raise ValidationError(f"repeat_vector expects (batch, k), got {x.shape}")
         return np.repeat(x[:, None, :], self.steps, axis=1)
@@ -214,13 +255,13 @@ class TimeDistributedDense:
                  rng: np.random.Generator | None = None):
         self.inner = DenseLayer(in_size, out_size, activation, rng)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3:
             raise ValidationError(
                 f"time-distributed layer expects (batch, T, in), got {x.shape}"
             )
         batch, steps, k = x.shape
-        y = self.inner.forward(x.reshape(batch * steps, k))
+        y = self.inner.forward(x.reshape(batch * steps, k), cache)
         return y.reshape(batch, steps, self.inner.out_size)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

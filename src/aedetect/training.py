@@ -208,7 +208,7 @@ def _epoch_loss(model, items: np.ndarray, loss_fn, batch_size: int) -> float:
     total = 0.0
     for lo in range(0, items.shape[0], batch_size):
         batch = items[lo : lo + batch_size]
-        xhat, _ = model.forward(batch)
+        xhat, _ = model.forward(batch, cache=False)
         loss, _ = loss_fn(batch, xhat)
         total += loss * batch.shape[0]
     return total / items.shape[0]

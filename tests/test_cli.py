@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestExitCodes:
         assert run(["detect", "--out-dir", pipeline_dir,
                     "--paths.model_file", tmp_path / "raw.json"]) \
             == EXIT_VALIDATION
+
+
+    def test_empty_labels_csv_is_parse_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / "labels.csv").write_text("")
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "labels.csv: row 1:" in capsys.readouterr().err
+
+    def test_truncated_scores_csv_is_parse_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_OK
+        scores = out / "scores.csv"
+        lines = scores.read_text().splitlines()
+        # the file ends halfway through its fourth row
+        scores.write_text("\n".join(lines[:3] + [lines[3][: len(lines[3]) // 2]]))
+        capsys.readouterr()
+        assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "scores.csv: row 4:" in capsys.readouterr().err
 
 
 class TestPrepare:

@@ -26,7 +26,7 @@ class FixedOutput:
     def __init__(self, xhat):
         self.xhat = np.asarray(xhat, dtype=np.float64)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         return self.xhat, np.zeros((self.xhat.shape[0], 8))
 
 

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from aedetect.errors import NumericError, ValidationError
+from aedetect.models import LstmAutoencoder
 from aedetect.neuralnet import (
     Adam,
     DenseLayer,
@@ -14,6 +17,7 @@ from aedetect.neuralnet import (
     reduce_lr_on_plateau,
     sigmoid,
 )
+from aedetect.training import TrainConfig, train
 
 
 def rel_err(a, b):
@@ -291,3 +295,70 @@ class TestActivationRanges:
         x = np.linspace(-30, 30, 1001)
         y = sigmoid(x)
         assert np.all(y > 0.0) and np.all(y < 1.0)
+
+
+def two_branch_sigmoid(x):
+    """Reference: 1/(1+exp(-x)) on x >= 0 and exp(x)/(1+exp(x)) elsewhere,
+    each branch evaluated on its own masked subset."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidBits:
+    def test_matches_two_branch_form_bitwise(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.normal(scale=s, size=2000) for s in (0.1, 1.0, 10.0, 800.0)
+        ] + [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                       5e-324, -5e-324, 709.8, -745.1])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = two_branch_sigmoid(x)
+            assert sigmoid(x).tobytes() == expected.tobytes()
+            y = x.reshape(2, -1).copy()
+            sigmoid(y, out=y)  # in place
+        assert y.tobytes() == expected.tobytes()
+
+
+class TestInferencePass:
+    @pytest.mark.parametrize("batch", [1, 57, 257])
+    def test_no_cache_forward_is_bitwise_equal(self, batch):
+        model = LstmAutoencoder(d=8, window_length=5, seed=3)
+        x = np.random.default_rng(batch).uniform(size=(batch, 5, 8))
+        recon, latent = model.forward(x)
+        recon_nc, latent_nc = model.forward(x, cache=False)
+        assert recon_nc.tobytes() == recon.tobytes()
+        assert latent_nc.tobytes() == latent.tobytes()
+
+    def test_backward_after_no_cache_forward_raises(self):
+        model = LstmAutoencoder(d=3, window_length=4, seed=0)
+        x = np.random.default_rng(0).uniform(size=(6, 4, 3))
+        model.forward(x)
+        model.forward(x, cache=False)  # drops the cache of the pass before
+        with pytest.raises(ValidationError):
+            model.backward(np.ones_like(x))
+        layer = LstmLayer(3, 2, return_sequences=True)
+        layer.forward(x, cache=False)
+        with pytest.raises(ValidationError):
+            layer.backward(np.ones((6, 4, 2)))
+
+
+def test_seeded_lstm_training_bytes_are_pinned():
+    """Two seeded epochs over 300 windows (batches of 256 and 44, validation
+    through the inference pass) must reproduce these parameter bytes. A
+    kernel change that moves any float changes the digest; the digest holds
+    for a given numpy and BLAS build."""
+    rng = np.random.default_rng(11)
+    train_items = rng.uniform(size=(300, 5, 8))
+    val_items = rng.uniform(size=(100, 5, 8))
+    model = LstmAutoencoder(d=8, window_length=5, seed=4)
+    config = TrainConfig(max_epochs=2, batch_size=256, learning_rate=1e-2, seed=4)
+    model, report, _ = train(model, train_items, val_items, config)
+    assert report.epochs_run == 2 and report.best_epoch == 2
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in model.parameters()))
+    assert digest.hexdigest() == (
+        "fc53d98aa2d9da8d9ec132201b90662bf3de6102c39c31df76e0c1af23422d55"
+    )
