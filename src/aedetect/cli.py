@@ -312,13 +312,17 @@ def _load_prepared(config: RunConfig):
     val, _ = preprocess.read_matrix_csv(out / "val.csv")
     test, _ = preprocess.read_matrix_csv(out / "test.csv")
     labels, stamps = _read_labels(out / "labels.csv")
-    with open(out / "scaler.json", encoding="utf-8") as fh:
-        sdoc = json.load(fh)
-    scaler = preprocess.ScalerParams(
-        np.asarray(sdoc["min"], dtype=np.float64),
-        np.asarray(sdoc["max"], dtype=np.float64),
-        int(sdoc["fitted_on"]),
-    )
+    scaler_path = out / "scaler.json"
+    with open(scaler_path, encoding="utf-8") as fh:
+        try:
+            sdoc = json.load(fh)
+            scaler = preprocess.ScalerParams(
+                np.asarray(sdoc["min"], dtype=np.float64),
+                np.asarray(sdoc["max"], dtype=np.float64),
+                int(sdoc["fitted_on"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{scaler_path}: bad scaler document ({exc!r})") from None
     return plan, train, val, test, names, labels, stamps, scaler
 
 

@@ -3,6 +3,10 @@
 Score kinds: per-snapshot MSE, per-window MSE, and Mahalanobis distance of
 the raw residual under the frozen training covariance. Thresholds are linear
 interpolation percentiles of healthy training scores; flags use strict >.
+
+Every score, the latent export and the residual covariance run the model
+through `reconstruct`: a no-cache pass over balanced chunks of at most
+SCORE_CHUNK items, so scoring memory does not grow with the log's length.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from .errors import LeakageError, ValidationError
 
 SCORE_KINDS = ("mse_point", "mse_window", "mahalanobis")
+SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +76,28 @@ def _default_indices(n: int, indices) -> np.ndarray:
     return indices
 
 
+def reconstruct(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reconstruction, latent) of every item, equal bit for bit to
+    `model.forward(x)`, from no-cache passes over at most SCORE_CHUNK items.
+
+    The chunks are balanced (`np.array_split`), so none but a lone chunk is
+    shorter than SCORE_CHUNK / 2 rows: BLAS rounds products of one or a few
+    rows differently, and a short fixed-stride tail would change scores.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    chunks = np.array_split(x, max(1, math.ceil(x.shape[0] / SCORE_CHUNK)))
+    if len(chunks) == 1:
+        return model.forward(x, cache=False)
+    parts = [model.forward(chunk, cache=False) for chunk in chunks]
+    return tuple(np.concatenate(outputs) for outputs in zip(*parts))
+
+
 def score_pointwise_mse(
     model, x: np.ndarray, indices=None, from_training: bool = False
 ) -> ScoreSeries:
     """Per-row mean squared residual of the dense reconstruction."""
     x = np.asarray(x, dtype=np.float64)
-    xhat, _ = model.forward(x)
+    xhat, _ = reconstruct(model, x)
     r = xhat - x
     scores = np.mean(r * r, axis=1)
     return ScoreSeries(scores, _default_indices(x.shape[0], indices),
@@ -88,7 +109,7 @@ def score_window_mse(
 ) -> ScoreSeries:
     """Per-window mean squared residual over all T*d entries."""
     w = np.asarray(windows, dtype=np.float64)
-    what, _ = model.forward(w, cache=False)
+    what, _ = reconstruct(model, w)
     r = what - w
     scores = np.mean(r * r, axis=(1, 2))
     return ScoreSeries(scores, _default_indices(w.shape[0], indices),
@@ -104,7 +125,7 @@ def score_mahalanobis(
         raise ValidationError(
             f"input dimension {x.shape[1]} != covariance dimension {cov.d}"
         )
-    xhat, _ = model.forward(x)
+    xhat, _ = reconstruct(model, x)
     r = xhat - x
     quad = np.einsum("ij,jk,ik->i", r, cov.sigma_inv, r)
     # rounding can push the quadratic form infinitesimally below zero
@@ -150,4 +171,4 @@ def detect(scores: ScoreSeries, spec: ThresholdSpec) -> np.ndarray:
 
 def extract_latent(model, x: np.ndarray) -> np.ndarray:
     """Encoder output per item, shape (batch, latent_width)."""
-    return model.encode(np.asarray(x, dtype=np.float64))
+    return reconstruct(model, x)[1]

@@ -68,9 +68,6 @@ class DenseAutoencoder:
             g = layer.backward(g)
         return g
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, cache=False)[1]
-
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
 
@@ -130,9 +127,6 @@ class LstmAutoencoder:
         for layer in reversed(self.layers):
             g = layer.backward(g)
         return g
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, cache=False)[1]
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]

@@ -10,6 +10,7 @@ sliding windows.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,16 +278,28 @@ def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Prepared-matrix file back as (matrix, channel names); the body streams
+    through `np.loadtxt`, which parses each cell as `float()` does."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            names = [h.strip() for h in next(reader)]
+            names = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
-            raise ParseError("empty matrix file") from None
-        rows = [
-            [float(cell) for cell in row] for row in reader if row
-        ]
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+            raise ParseError(f"{path}: empty matrix file") from None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is an empty partition, not a mistake
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                matrix = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: {exc} (rows counted from 0 after the header)"
+            ) from None
+    if matrix.size == 0:
+        return np.empty((0, len(names))), names
+    if matrix.shape[1] != len(names):
+        raise ParseError(
+            f"{path}: rows have {matrix.shape[1]} cells, header has {len(names)}"
+        )
     return matrix, names
 
 
@@ -312,14 +325,18 @@ def read_split_plan(path, train_ratio: float = 0.9, validation_ratio: float = 0.
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["row_index", "partition"]:
-            raise ParseError("split plan header must be 'row_index,partition'")
-        for row_no, row in enumerate(reader, start=2):
+            raise ParseError(f"{path}: split plan header must be 'row_index,partition'")
+        for row in reader:
             if not row:
                 continue
-            part = row[1].strip()
-            if part not in buckets:
-                raise ParseError(f"row {row_no}: unknown partition {part!r}")
-            buckets[part].append(int(row[0]))
+            try:
+                part = row[1].strip()
+                buckets[part].append(int(row[0]))
+            except (IndexError, KeyError, ValueError):
+                raise ParseError(
+                    f"{path}: row {reader.line_num}: expected "
+                    f"'row_index,train|val|test', got {row!r}"
+                ) from None
     return SplitPlan(
         np.array(buckets["train"], dtype=np.int64),
         np.array(buckets["val"], dtype=np.int64),

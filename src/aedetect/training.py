@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detector import reconstruct
 from .errors import LeakageError, NumericError, ValidationError
 from .neuralnet import Adam, EarlyStopping, ReduceLROnPlateau
 
@@ -181,7 +182,7 @@ def estimate_residual_covariance(
         raise ValidationError(
             f"need more than d={d} rows to estimate covariance, got {n}"
         )
-    xhat, _ = model.forward(x)
+    xhat, _ = reconstruct(model, x)
     r = xhat - x
     centered = r - r.mean(axis=0)
     sample = (centered.T @ centered) / (n - 1)
@@ -189,9 +190,7 @@ def estimate_residual_covariance(
     epsilon = 1e-6 * float(np.trace(sample)) / d
     if epsilon <= 0.0:
         epsilon = 1e-12  # zero-variance residuals: keep the matrix invertible
-    shrunk = sample + epsilon * np.eye(d)
-    inv_sqrt = matrix_inverse_sqrt(sample, epsilon)
-    return CovarianceModel(shrunk, inv_sqrt @ inv_sqrt, inv_sqrt, epsilon)
+    return CovarianceModel.from_sigma(sample + epsilon * np.eye(d), epsilon)
 
 
 def _snapshot(model) -> list[np.ndarray]:

@@ -126,6 +126,21 @@ class TestExitCodes:
         assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert "scores.csv: row 4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", (
+        ("scaler.json", "{"),
+        ("scaler.json", '{"min": [0.0]}'),
+        ("split_plan.csv", "row_index,partition\nx,train\n"),
+        ("split_plan.csv", "row_index,partition\n0\n"),
+    ))
+    def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
+                                                  capsys, name, text):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+
 
 class TestPrepare:
     def test_outputs_and_summary(self, pipeline_dir):

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aedetect.detector import (
+    SCORE_CHUNK,
     ScoreSeries,
     ThresholdSpec,
     detect,
     extract_latent,
     fit_threshold,
     percentile_linear,
+    reconstruct,
     score_mahalanobis,
     score_pointwise_mse,
     score_window_mse,
 )
 from aedetect.errors import LeakageError, ValidationError
 from aedetect.models import DenseAutoencoder, LstmAutoencoder
-from aedetect.training import CovarianceModel
+from aedetect.training import CovarianceModel, estimate_residual_covariance
 
 
 class FixedOutput:
@@ -28,6 +30,18 @@ class FixedOutput:
 
     def forward(self, x, cache=True):
         return self.xhat, np.zeros((self.xhat.shape[0], 8))
+
+
+class ForwardSpy:
+    """Wraps a model and records (cache, rows) of every forward call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def forward(self, x, cache=True):
+        self.calls.append((cache, x.shape[0]))
+        return self.model.forward(x, cache)
 
 
 def percentile_oracle(scores, alpha):
@@ -244,3 +258,75 @@ class TestScoreSeriesInvariants:
         for alpha in (1.0, 42.5, 95.0, 99.0):
             assert percentile_linear(scores, alpha) == pytest.approx(
                 np.percentile(scores, alpha), rel=1e-12)
+
+
+CHUNK_SIZES = (1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 56)
+
+
+def dense_case(n):
+    return DenseAutoencoder(d=8, seed=3), np.random.default_rng(n).random((n, 8))
+
+
+def lstm_case(n):
+    model = LstmAutoencoder(d=8, window_length=5, seed=4)
+    return model, np.random.default_rng(n).random((n, 5, 8))
+
+
+class TestChunkedScoring:
+    """Chunked no-cache scoring equals one cached forward pass bit for bit."""
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    @pytest.mark.parametrize("case", (dense_case, lstm_case))
+    def test_reconstruct_and_latent_equal_one_pass(self, case, n):
+        model, x = case(n)
+        recon, latent = model.forward(x)
+        chunked, chunked_latent = reconstruct(model, x)
+        assert np.array_equal(chunked, recon)
+        assert np.array_equal(chunked_latent, latent)
+        assert np.array_equal(extract_latent(model, x), latent)
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_dense_scores_equal_one_pass(self, n):
+        model, x = dense_case(n)
+        a = np.random.default_rng(5).standard_normal((8, 8))
+        cov = CovarianceModel.from_sigma(a @ a.T + 0.5 * np.eye(8), 0.0)
+        r = model.forward(x)[0] - x
+        mse = np.mean(r * r, axis=1)
+        distance = np.sqrt(np.maximum(
+            np.einsum("ij,jk,ik->i", r, cov.sigma_inv, r), 0.0))
+        assert np.array_equal(score_pointwise_mse(model, x).scores, mse)
+        assert np.array_equal(score_mahalanobis(model, cov, x).scores, distance)
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_window_scores_equal_one_pass(self, n):
+        model, w = lstm_case(n)
+        r = model.forward(w)[0] - w
+        assert np.array_equal(score_window_mse(model, w).scores,
+                              np.mean(r * r, axis=(1, 2)))
+
+    @pytest.mark.parametrize("n", (SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 56))
+    def test_scoring_runs_balanced_no_cache_chunks(self, n):
+        model, x = dense_case(n)
+        wmodel, w = lstm_case(n)
+        cov = CovarianceModel.from_sigma(np.eye(8), 0.0)
+        calls = [
+            lambda spy: score_pointwise_mse(spy, x),
+            lambda spy: score_mahalanobis(spy, cov, x),
+            lambda spy: extract_latent(spy, x),
+            lambda spy: estimate_residual_covariance(spy, x),
+        ]
+        for score in calls:
+            spy = ForwardSpy(model)
+            score(spy)
+            self.assert_chunked(spy, n)
+        spy = ForwardSpy(wmodel)
+        score_window_mse(spy, w)
+        self.assert_chunked(spy, n)
+
+    @staticmethod
+    def assert_chunked(spy, n):
+        caches = [cache for cache, _ in spy.calls]
+        rows = [rows for _, rows in spy.calls]
+        assert not any(caches)
+        assert sum(rows) == n
+        assert max(rows) <= SCORE_CHUNK and min(rows) >= SCORE_CHUNK // 2

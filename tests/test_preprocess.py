@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aedetect.dataset import SensorLog
-from aedetect.errors import LeakageError, ValidationError
+from aedetect.errors import LeakageError, ParseError, ValidationError
 from aedetect.preprocess import (
     ScalerParams,
     SplitPlan,
@@ -322,6 +324,42 @@ class TestFilesRoundTrip:
         back, names = read_matrix_csv(path)
         assert names == ["a", "b", "c"]
         assert np.array_equal(back, matrix)
+
+    def test_matrix_csv_parses_like_float(self, tmp_path):
+        rng = np.random.default_rng(10)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        values = np.concatenate([edge, bits[np.isfinite(bits)]])[:3000]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(values.reshape(-1, 5), list("abcde"), path)
+        back, _ = read_matrix_csv(path)
+        cells = [float(c) for line in path.read_text().splitlines()[1:]
+                 for c in line.split(",")]
+        assert np.array_equal(back.ravel().view(np.uint64),
+                              np.array(cells).view(np.uint64))
+
+    def test_matrix_csv_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back, names = read_matrix_csv(path)
+        assert back.shape == (0, 3) and names == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("body", ("1.0,abc\n", "1.0,2.0\n3.0\n",
+                                      "1.0,2.0,3.0\n"))
+    def test_matrix_csv_bad_body_names_file(self, tmp_path, body):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(ParseError, match="m.csv"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("row", ("x,train", "3", "3,holdout"))
+    def test_split_plan_bad_row_names_file(self, tmp_path, row):
+        path = tmp_path / "plan.csv"
+        path.write_text(f"row_index,partition\n0,train\n{row}\n")
+        with pytest.raises(ParseError, match="plan.csv: row 3"):
+            read_split_plan(path)
 
     def test_matrix_csv_rejects_nan(self, tmp_path):
         matrix = np.array([[1.0, np.nan]])

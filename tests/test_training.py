@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aedetect.detector import SCORE_CHUNK
 from aedetect.errors import LeakageError, NumericError, ValidationError
 from aedetect.models import DenseAutoencoder, LstmAutoencoder
 from aedetect.training import (
@@ -21,7 +22,7 @@ class FixedOutput:
     def __init__(self, xhat):
         self.xhat = np.asarray(xhat, dtype=np.float64)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         return self.xhat, None
 
 
@@ -171,6 +172,23 @@ class TestEstimateResidualCovariance:
             estimate_residual_covariance(FixedOutput(np.zeros((5, 2))),
                                          np.zeros((5, 2)),
                                          labels=np.array([0, 0, 1, 0, 0], bool))
+
+    @pytest.mark.parametrize("n", (SCORE_CHUNK, SCORE_CHUNK + 1,
+                                   2 * SCORE_CHUNK + 56))
+    def test_equals_one_pass_covariance(self, n):
+        model = DenseAutoencoder(d=8, seed=2)
+        x = np.random.default_rng(n).random((n, 8))
+        r = model.forward(x)[0] - x
+        centered = r - r.mean(axis=0)
+        sample = (centered.T @ centered) / (n - 1)
+        sample = 0.5 * (sample + sample.T)
+        epsilon = 1e-6 * float(np.trace(sample)) / 8
+        inv_sqrt = matrix_inverse_sqrt(sample, epsilon)
+        cov = estimate_residual_covariance(model, x)
+        assert cov.epsilon == epsilon
+        assert np.array_equal(cov.sigma, sample + epsilon * np.eye(8))
+        assert np.array_equal(cov.sigma_inv_sqrt, inv_sqrt)
+        assert np.array_equal(cov.sigma_inv, inv_sqrt @ inv_sqrt)
 
     def test_inverse_sqrt_consistency(self):
         rng = np.random.default_rng(9)
