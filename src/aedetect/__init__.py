@@ -69,7 +69,6 @@ from .training import (
     matrix_inverse_sqrt,
     mse_loss,
     train,
-    window_mse_loss,
 )
 
 __version__ = "0.1.0"

@@ -127,9 +127,6 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(self.window_length, self.window_stride)
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -276,11 +273,7 @@ def cmd_prepare(config: RunConfig) -> int:
     _write_labels(out / "labels.csv", np.arange(log.n_samples), log.timestamps,
                   labels)
     with open(out / "scaler.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "min": scaler.minimum.tolist(),
-            "max": scaler.maximum.tolist(),
-            "fitted_on": scaler.fitted_on,
-        }, fh, indent=1)
+        json.dump(scaler.to_doc(), fh, indent=1)
         fh.write("\n")
 
     summary = {
@@ -304,43 +297,62 @@ def cmd_prepare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_prepared(config: RunConfig):
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """What `prepare` wrote: the split, the three scaled partitions, the
+    fault flag and timestamp of every row of the log, and the scaler."""
+
+    plan: SplitPlan
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
+    labels: np.ndarray
+    stamps: list[str]
+    scaler: preprocess.ScalerParams
+
+    def windows(self, rows: np.ndarray, length: int, stride: int):
+        """(windows, labels, end rows) over the given rows of the log, e.g.
+        the test partition or the training pool; windows never straddle a
+        gap in `rows`."""
+        plan = self.plan
+        full = np.full((self.labels.size, self.train.shape[1]), np.nan)
+        for part_rows, matrix in ((plan.train_indices, self.train),
+                                  (plan.validation_indices, self.val),
+                                  (plan.test_indices, self.test)):
+            full[part_rows] = matrix
+        return preprocess.partition_windows(full, self.labels, rows,
+                                            WindowSpec(length, stride))
+
+
+def _load_prepared(config: RunConfig) -> Prepared:
     out = config.out_path
-    plan = preprocess.read_split_plan(out / "split_plan.csv",
-                                      config.train_ratio, config.validation_ratio)
-    train, names = preprocess.read_matrix_csv(out / "train.csv")
-    val, _ = preprocess.read_matrix_csv(out / "val.csv")
-    test, _ = preprocess.read_matrix_csv(out / "test.csv")
+    plan = preprocess.read_split_plan(out / "split_plan.csv")
+    matrices = []
+    for part, rows in (("train", plan.train_indices),
+                       ("val", plan.validation_indices),
+                       ("test", plan.test_indices)):
+        path = out / f"{part}.csv"
+        matrix, _names = preprocess.read_matrix_csv(path)
+        if matrix.shape[0] != rows.size:
+            raise ParseError(f"{path}: {matrix.shape[0]} rows, but split_plan.csv "
+                             f"assigns {rows.size}")
+        matrices.append(matrix)
     labels, stamps = _read_labels(out / "labels.csv")
     scaler_path = out / "scaler.json"
     with open(scaler_path, encoding="utf-8") as fh:
         try:
-            sdoc = json.load(fh)
-            scaler = preprocess.ScalerParams(
-                np.asarray(sdoc["min"], dtype=np.float64),
-                np.asarray(sdoc["max"], dtype=np.float64),
-                int(sdoc["fitted_on"]),
-            )
+            scaler = preprocess.ScalerParams.from_doc(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{scaler_path}: bad scaler document ({exc!r})") from None
-    return plan, train, val, test, names, labels, stamps, scaler
+    return Prepared(plan, *matrices, labels, stamps, scaler)
 
 
-def _assemble_rows(n: int, d: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    full = np.full((n, d), np.nan)
-    for rows, matrix in parts:
-        full[rows] = matrix
-    return full
-
-
-def _pool_windows(config: RunConfig, plan: SplitPlan, train, val, labels):
-    """Healthy training-pool windows plus the seeded window-level val split."""
-    n, d = labels.size, train.shape[1]
-    full = _assemble_rows(n, d, [(plan.train_indices, train),
-                                 (plan.validation_indices, val)])
-    windows, wlabels, ends = preprocess.partition_windows(
-        full, labels, plan.pool_indices, config.window_spec()
-    )
+def _pool_windows(config: RunConfig, data: Prepared, model: LstmAutoencoder):
+    """Healthy training-pool windows of the model's length, split by the
+    seeded window-level validation sample: (train windows, labels, end rows,
+    validation windows, labels)."""
+    windows, wlabels, ends = data.windows(data.plan.pool_indices,
+                                          model.window_length, config.window_stride)
     if windows.shape[0] < 2:
         raise ValidationError("training pool is too short to window")
     rng = np.random.default_rng(config.seed)
@@ -352,31 +364,57 @@ def _pool_windows(config: RunConfig, plan: SplitPlan, train, val, labels):
             windows[mask], wlabels[mask])
 
 
+def _test_items(config: RunConfig, data: Prepared, model):
+    """(items, row index per item, fault flag per item) of the test
+    partition: its rows for a dense model, windows of the model's length
+    (each at its end row) for an LSTM."""
+    if data.test.shape[0] == 0:
+        raise ValidationError("test partition is empty")
+    if not isinstance(model, LstmAutoencoder):
+        rows = data.plan.test_indices
+        return data.test, rows, data.labels[rows]
+    windows, wlabels, ends = data.windows(data.plan.test_indices,
+                                          model.window_length, config.window_stride)
+    if windows.shape[0] == 0:
+        raise ValidationError("test partition is too short to window")
+    return windows, ends, wlabels
+
+
+def _score(bundle: ModelBundle, items, indices,
+           from_training: bool = False) -> detector.ScoreSeries:
+    """The model file alone picks the score kind: window MSE for an LSTM,
+    Mahalanobis distance for a dense model with a covariance block (`train`
+    writes one only for loss=mahalanobis), point MSE otherwise."""
+    model = bundle.model
+    if isinstance(model, LstmAutoencoder):
+        return detector.score_window_mse(model, items, indices, from_training)
+    if bundle.covariance is not None:
+        return detector.score_mahalanobis(model, bundle.covariance, items,
+                                          indices, from_training)
+    return detector.score_pointwise_mse(model, items, indices, from_training)
+
+
 def cmd_train(config: RunConfig) -> int:
-    plan, train_m, val_m, _test, names, labels, _stamps, scaler = _load_prepared(config)
-    tconfig = config.train_config()
+    data = _load_prepared(config)
+    plan, d = data.plan, data.train.shape[1]
     if config.architecture == "dense_ae":
-        model = DenseAutoencoder(d=train_m.shape[1], seed=config.seed)
-        trained, report, cov = training.train(
-            model, train_m, val_m, tconfig,
-            train_labels=labels[plan.train_indices],
-            val_labels=labels[plan.validation_indices],
-        )
+        model = DenseAutoencoder(d=d, seed=config.seed)
+        train_items, val_items = data.train, data.val
+        train_labels = data.labels[plan.train_indices]
+        val_labels = data.labels[plan.validation_indices]
     else:
-        wtrain, wtrain_labels, _ends, wval, wval_labels = _pool_windows(
-            config, plan, train_m, val_m, labels
-        )
-        model = LstmAutoencoder(d=train_m.shape[1],
-                                window_length=config.window_length,
+        model = LstmAutoencoder(d=d, window_length=config.window_length,
                                 seed=config.seed)
-        trained, report, cov = training.train(
-            model, wtrain, wval, tconfig,
-            train_labels=wtrain_labels, val_labels=wval_labels,
-        )
+        train_items, train_labels, _ends, val_items, val_labels = _pool_windows(
+            config, data, model)
+    trained, report, cov = training.train(
+        model, train_items, val_items, config.train_config(),
+        train_labels=train_labels, val_labels=val_labels,
+    )
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ModelBundle(trained, scaler, covariance=cov)
+    bundle = ModelBundle(trained, data.scaler, covariance=cov)
     save_model(bundle, config.model_path)
     report.write_csv(out / "train_report.csv")
     print(f"trained {config.architecture} for {report.epochs_run} epochs "
@@ -385,28 +423,15 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _training_scores(config: RunConfig, bundle: ModelBundle):
-    plan, train_m, val_m, _test, _names, labels, _stamps, _scaler = \
-        _load_prepared(config)
-    model = bundle.model
-    if isinstance(model, LstmAutoencoder):
-        wtrain, _wl, ends, _wv, _wvl = _pool_windows(config, plan, train_m, val_m,
-                                                     labels)
-        return detector.score_window_mse(model, wtrain, ends, from_training=True)
-    if config.loss == "mahalanobis":
-        if bundle.covariance is None:
-            raise ValidationError(
-                "model file has no covariance block; retrain with loss=mahalanobis"
-            )
-        return detector.score_mahalanobis(model, bundle.covariance, train_m,
-                                          plan.train_indices, from_training=True)
-    return detector.score_pointwise_mse(model, train_m, plan.train_indices,
-                                        from_training=True)
-
-
 def cmd_threshold(config: RunConfig) -> int:
     bundle = load_model(config.model_path)
-    scores = _training_scores(config, bundle)
+    data = _load_prepared(config)
+    if isinstance(bundle.model, LstmAutoencoder):
+        items, _labels, indices, _val, _val_labels = _pool_windows(
+            config, data, bundle.model)
+    else:
+        items, indices = data.train, data.plan.train_indices
+    scores = _score(bundle, items, indices, from_training=True)
     bundle.threshold = detector.fit_threshold(scores, config.alpha)
     save_model(bundle, config.model_path)
     print(f"threshold tau={bundle.threshold.tau!r} "
@@ -415,53 +440,21 @@ def cmd_threshold(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _test_scores(config: RunConfig, bundle: ModelBundle):
-    """Returns (ScoreSeries, timestamps per score row)."""
-    plan, train_m, val_m, test_m, _names, labels, stamps, _scaler = \
-        _load_prepared(config)
-    if test_m.shape[0] == 0:
-        raise ValidationError("test partition is empty")
-    model = bundle.model
-    if isinstance(model, LstmAutoencoder):
-        full = _assemble_rows(labels.size, test_m.shape[1],
-                              [(plan.test_indices, test_m)])
-        windows, _wl, ends = preprocess.partition_windows(
-            full, labels, plan.test_indices, config.window_spec()
-        )
-        if windows.shape[0] == 0:
-            raise ValidationError("test partition is too short to window")
-        series = detector.score_window_mse(model, windows, ends)
-    else:
-        # follow the fitted threshold's score kind; before a threshold
-        # exists, the configured loss decides
-        if bundle.threshold is not None:
-            mahalanobis = bundle.threshold.kind == "mahalanobis"
-        else:
-            mahalanobis = config.loss == "mahalanobis"
-        if mahalanobis:
-            if bundle.covariance is None:
-                raise ValidationError("model file has no covariance block")
-            series = detector.score_mahalanobis(model, bundle.covariance, test_m,
-                                                plan.test_indices)
-        else:
-            series = detector.score_pointwise_mse(model, test_m,
-                                                  plan.test_indices)
-    return series, [stamps[i] for i in series.indices]
-
-
 def cmd_detect(config: RunConfig) -> int:
     bundle = load_model(config.model_path)
     if bundle.threshold is None:
         raise ValidationError("model has no fitted threshold; run `threshold` first")
-    series, stamps = _test_scores(config, bundle)
+    data = _load_prepared(config)
+    items, indices, _truth = _test_items(config, data, bundle.model)
+    series = _score(bundle, items, indices)
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scores.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "timestamp", "score", "flagged"])
-        for i, ts, score, flag in zip(series.indices, stamps, series.scores, flags):
-            writer.writerow([int(i), ts, repr(float(score)), int(flag)])
+        for i, score, flag in zip(series.indices, series.scores, flags):
+            writer.writerow([int(i), data.stamps[i], repr(float(score)), int(flag)])
     print(f"scored {len(series)} test items ({series.kind}); "
           f"{int(flags.sum())} flagged")
     return EXIT_OK
@@ -472,29 +465,16 @@ def cmd_eval(config: RunConfig) -> int:
     if bundle.threshold is None:
         raise ValidationError("model has no fitted threshold; run `threshold` first")
     out = config.out_path
-    plan, _train, _val, test_m, _names, labels, _stamps, _scaler = \
-        _load_prepared(config)
-
+    _items, expected, truth = _test_items(config, _load_prepared(config),
+                                          bundle.model)
     rows = _read_csv_rows(out / "scores.csv",
                           lambda row: (int(row[0]), bool(int(row[3]))))
     indices = np.array([i for i, _ in rows], dtype=np.int64)
     flags = np.array([flag for _, flag in rows], dtype=bool)
-
-    if bundle.threshold.kind == "mse_window":
-        full = _assemble_rows(labels.size, test_m.shape[1],
-                              [(plan.test_indices, test_m)])
-        _w, wlabels, ends = preprocess.partition_windows(
-            full, labels, plan.test_indices, config.window_spec()
+    if indices.shape != expected.shape or (indices != expected).any():
+        raise ValidationError(
+            "scores.csv does not align with the test items; re-run detect"
         )
-        if ends.shape != indices.shape or (ends != indices).any():
-            raise ValidationError(
-                "scores.csv does not align with the test windows; re-run detect"
-            )
-        truth = wlabels
-    else:
-        truth = labels[indices]
-    if truth.shape != flags.shape:
-        raise ValidationError("flags and labels are misaligned; re-run detect")
 
     report = evaluation.metrics(evaluation.confusion(flags, truth))
     evaluation.write_metrics_csv(report, out / "metrics.csv")
@@ -527,20 +507,9 @@ def cmd_synth(config: RunConfig) -> int:
 
 def cmd_export_latent(config: RunConfig) -> int:
     bundle = load_model(config.model_path)
-    plan, train_m, val_m, test_m, _names, labels, stamps, _scaler = \
-        _load_prepared(config)
-    model = bundle.model
-    if isinstance(model, LstmAutoencoder):
-        full = _assemble_rows(labels.size, test_m.shape[1],
-                              [(plan.test_indices, test_m)])
-        windows, _wl, ends = preprocess.partition_windows(
-            full, labels, plan.test_indices, config.window_spec()
-        )
-        latent = detector.extract_latent(model, windows)
-        indices = ends
-    else:
-        latent = detector.extract_latent(model, test_m)
-        indices = plan.test_indices
+    data = _load_prepared(config)
+    items, indices, _truth = _test_items(config, data, bundle.model)
+    latent = detector.extract_latent(bundle.model, items)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "latent.csv", "w", newline="", encoding="utf-8") as fh:
@@ -548,7 +517,7 @@ def cmd_export_latent(config: RunConfig) -> int:
         width = latent.shape[1]
         writer.writerow(["index", "timestamp"] + [f"z{k + 1}" for k in range(width)])
         for i, row in zip(indices, latent):
-            writer.writerow([int(i), stamps[int(i)]] +
+            writer.writerow([int(i), data.stamps[i]] +
                             [repr(float(v)) for v in row])
     print(f"exported {latent.shape[0]} latent vectors "
           f"(width {latent.shape[1]}) to {out / 'latent.csv'}")

@@ -230,11 +230,7 @@ def to_document(bundle: ModelBundle) -> dict:
         ]
     else:
         doc["layers"] = [_dense_layer_doc(layer) for layer in model.layers]
-    doc["scaler"] = {
-        "min": bundle.scaler.minimum.tolist(),
-        "max": bundle.scaler.maximum.tolist(),
-        "fitted_on": bundle.scaler.fitted_on,
-    }
+    doc["scaler"] = bundle.scaler.to_doc()
     if bundle.threshold is not None:
         t = bundle.threshold
         doc["threshold"] = {
@@ -296,12 +292,7 @@ def from_document(doc: dict) -> ModelBundle:
         raise ModelFormatError(f"unknown architecture {arch!r}")
 
     try:
-        sdoc = doc["scaler"]
-        scaler = ScalerParams(
-            np.asarray(sdoc["min"], dtype=np.float64),
-            np.asarray(sdoc["max"], dtype=np.float64),
-            int(sdoc["fitted_on"]),
-        )
+        scaler = ScalerParams.from_doc(doc["scaler"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError("model file has a bad scaler block") from exc
     if scaler.minimum.shape[0] != d:

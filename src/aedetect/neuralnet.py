@@ -351,26 +351,3 @@ class ReduceLROnPlateau:
             return True
         return False
 
-
-def early_stopping(history, patience: int = 10) -> tuple[bool, int]:
-    """Replay a validation-loss history; returns (stop, best_epoch) with
-    epochs numbered from 1."""
-    cb = EarlyStopping(patience)
-    stop = False
-    for epoch, loss in enumerate(history, start=1):
-        stop = cb.update(float(loss), epoch)
-        if stop:
-            break
-    return stop, cb.best_epoch
-
-
-def reduce_lr_on_plateau(history, patience: int = 5, factor: float = 0.2,
-                         learning_rate: float = 1e-3) -> float:
-    """Replay a validation-loss history; returns the learning rate in effect
-    after the last epoch."""
-    cb = ReduceLROnPlateau(patience, factor)
-    lr = learning_rate
-    for loss in history:
-        if cb.update(float(loss)):
-            lr *= factor
-    return lr

@@ -37,6 +37,22 @@ class ScalerParams:
         object.__setattr__(self, "minimum", lo)
         object.__setattr__(self, "maximum", hi)
 
+    def to_doc(self) -> dict:
+        """The JSON block of `scaler.json` and of a model file's `scaler`."""
+        return {
+            "min": self.minimum.tolist(),
+            "max": self.maximum.tolist(),
+            "fitted_on": self.fitted_on,
+        }
+
+    @classmethod
+    def from_doc(cls, doc) -> ScalerParams:
+        """Inverse of `to_doc`; a malformed block raises KeyError, TypeError
+        or ValueError, which each reader reports in its own terms."""
+        return cls(np.asarray(doc["min"], dtype=np.float64),
+                   np.asarray(doc["max"], dtype=np.float64),
+                   int(doc["fitted_on"]))
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -59,8 +75,6 @@ class SplitPlan:
     train_indices: np.ndarray
     validation_indices: np.ndarray
     test_indices: np.ndarray
-    train_ratio: float = 0.9
-    validation_ratio: float = 0.2
 
     def __post_init__(self):
         for name in ("train_indices", "validation_indices", "test_indices"):
@@ -190,7 +204,7 @@ def plan_split(
     n_val = int(validation_ratio * pool.size)
     val = np.sort(rng.choice(pool, size=n_val, replace=False))
     train = np.setdiff1d(pool, val)
-    return SplitPlan(train, val, test, train_ratio, validation_ratio)
+    return SplitPlan(train, val, test)
 
 
 def make_windows(
@@ -319,7 +333,7 @@ def write_split_plan(plan: SplitPlan, path) -> None:
         writer.writerows(merged)
 
 
-def read_split_plan(path, train_ratio: float = 0.9, validation_ratio: float = 0.2) -> SplitPlan:
+def read_split_plan(path) -> SplitPlan:
     buckets: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -341,6 +355,4 @@ def read_split_plan(path, train_ratio: float = 0.9, validation_ratio: float = 0.
         np.array(buckets["train"], dtype=np.int64),
         np.array(buckets["val"], dtype=np.int64),
         np.array(buckets["test"], dtype=np.int64),
-        train_ratio,
-        validation_ratio,
     )

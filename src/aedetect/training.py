@@ -114,12 +114,6 @@ def mse_loss(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def window_mse_loss(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Window reconstruction loss; identical to mse_loss on the flattened
-    (batch, T*d) view."""
-    return mse_loss(x, xhat)
-
-
 def matrix_inverse_sqrt(sigma: np.ndarray, epsilon: float) -> np.ndarray:
     """Inverse square root of sigma + epsilon*I via symmetric eigendecomposition.
 

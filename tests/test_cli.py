@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 
@@ -131,6 +132,7 @@ class TestExitCodes:
         ("scaler.json", '{"min": [0.0]}'),
         ("split_plan.csv", "row_index,partition\nx,train\n"),
         ("split_plan.csv", "row_index,partition\n0\n"),
+        ("test.csv", "a,b,c,d,e,f,g,h\n"),
     ))
     def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
                                                   capsys, name, text):
@@ -296,3 +298,86 @@ class TestMahalanobisPipeline:
         assert run(["eval"] + base) == EXIT_OK
         doc = json.loads(model_file.read_text())
         assert doc["threshold"]["kind"] == "mahalanobis"
+
+
+# sha256 (first 16 hex digits) of each output of a train -> threshold ->
+# detect -> eval run per score kind on the `gappy_dir` data, recorded before
+# the CLI's score dispatch was rewritten; any change of output bytes fails
+GOLDEN = {
+    "mse_point": {"model.json": "c7c69689758628f2", "scores.csv": "12121dcd3b5052b7",
+                  "metrics.csv": "4b54a8d7eb80316b"},
+    "mse_window": {"model.json": "7bf7a19f9ccdb6c1", "scores.csv": "a5d81cf6a32f48b3",
+                   "metrics.csv": "056e67315338bd4f"},
+    "mahalanobis": {"model.json": "c6c33f8d00c6be3a", "scores.csv": "1b7548dffe2088d2",
+                    "metrics.csv": "d5b54cbc241c723b"},
+}
+GOLDEN_FLAGS = {
+    "mse_point": ["--train.max_epochs", 2],
+    "mse_window": ["--pipeline.architecture", "lstm_ae", "--train.max_epochs", 2],
+    # past the 5-epoch MSE warm-up, so the whitened loss trains too
+    "mahalanobis": ["--pipeline.loss", "mahalanobis", "--train.max_epochs", 7],
+}
+
+
+@pytest.fixture(scope="module")
+def gappy_dir(tmp_path_factory):
+    """Prepared files of a 2 500-row synthetic log with 2% missing cells."""
+    out = tmp_path_factory.mktemp("gappy")
+    assert run(["synth", "--out-dir", out, "--seed", 5,
+                "--synth.n_samples", 2500, "--synth.gap_fraction", 0.02]) == EXIT_OK
+    assert run(["prepare", "--out-dir", out, "--seed", 5,
+                "--paths.sensor_csv", out / "sensor.csv",
+                "--paths.fault_csv", out / "faults.csv"]) == EXIT_OK
+    return out
+
+
+def run_stages(out, stages, flags):
+    for stage in stages:
+        assert run([stage, "--out-dir", out, "--seed", 5] + flags) == EXIT_OK
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_outputs_match_recorded_digests(self, gappy_dir, tmp_path, kind):
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train", "threshold", "detect", "eval"), GOLDEN_FLAGS[kind])
+        assert json.loads((out / "model.json").read_text())["threshold"]["kind"] \
+            == kind
+        assert {name: digest(out / name) for name in GOLDEN[kind]} == GOLDEN[kind]
+
+
+class TestModelFileDecidesScoreKind:
+    def test_later_stages_need_no_loss_flag(self, gappy_dir, tmp_path):
+        taus = []
+        for sub, later in (("flag", GOLDEN_FLAGS["mahalanobis"]), ("bare", [])):
+            out = tmp_path / sub
+            shutil.copytree(gappy_dir, out)
+            run_stages(out, ("train",), GOLDEN_FLAGS["mahalanobis"])
+            run_stages(out, ("threshold", "detect"), later)
+            threshold = json.loads((out / "model.json").read_text())["threshold"]
+            assert threshold["kind"] == "mahalanobis"
+            taus.append(threshold["tau"])
+        assert taus[0] == taus[1]
+        assert (tmp_path / "flag" / "scores.csv").read_bytes() \
+            == (tmp_path / "bare" / "scores.csv").read_bytes()
+
+    def test_eval_rejects_a_non_test_row_in_dense_scores(self, pipeline_dir,
+                                                          tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_OK
+        with open(out / "split_plan.csv") as fh:
+            train_row = next(r[0] for r in csv.reader(fh) if r[1] == "train")
+        with open(out / "scores.csv") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][0] = train_row
+        with open(out / "scores.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "scores.csv" in capsys.readouterr().err

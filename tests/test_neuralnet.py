@@ -13,8 +13,6 @@ from aedetect.neuralnet import (
     ReduceLROnPlateau,
     RepeatVector,
     TimeDistributedDense,
-    early_stopping,
-    reduce_lr_on_plateau,
     sigmoid,
 )
 from aedetect.training import TrainConfig, train
@@ -245,10 +243,32 @@ class TestAdam:
             opt.step([np.array([np.nan, 0.0])])
 
 
+def replay_early_stopping(history, patience):
+    """Feed a validation-loss history to EarlyStopping; returns (stop,
+    best_epoch) with epochs numbered from 1."""
+    cb = EarlyStopping(patience)
+    stop = False
+    for epoch, loss in enumerate(history, start=1):
+        stop = cb.update(loss, epoch)
+        if stop:
+            break
+    return stop, cb.best_epoch
+
+
+def replay_plateau(history, patience=5, factor=0.2, learning_rate=1e-3):
+    """Feed a validation-loss history to ReduceLROnPlateau; returns the
+    learning rate in effect after the last epoch."""
+    cb = ReduceLROnPlateau(patience, factor)
+    for loss in history:
+        if cb.update(loss):
+            learning_rate *= factor
+    return learning_rate
+
+
 class TestEarlyStopping:
     def test_strictly_decreasing_never_stops(self):
         losses = [1.0 / (k + 1) for k in range(30)]
-        stop, best = early_stopping(losses, patience=10)
+        stop, best = replay_early_stopping(losses, patience=10)
         assert not stop and best == 30
 
     def test_flat_history_stops_at_eleven(self):
@@ -263,13 +283,13 @@ class TestEarlyStopping:
 
     def test_nine_stagnant_epochs_continue(self):
         losses = [1.0, 0.9] + [0.9] * 9
-        stop, best = early_stopping(losses, patience=10)
+        stop, best = replay_early_stopping(losses, patience=10)
         assert not stop and best == 2
 
 
 class TestReduceLrOnPlateau:
     def test_improving_keeps_lr(self):
-        assert reduce_lr_on_plateau([1.0, 0.9, 0.8], learning_rate=1e-3) == 1e-3
+        assert replay_plateau([1.0, 0.9, 0.8], learning_rate=1e-3) == 1e-3
 
     def test_five_stagnant_epochs_reduce_once(self):
         losses = [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
@@ -279,7 +299,7 @@ class TestReduceLrOnPlateau:
 
     def test_two_plateaus_compound(self):
         losses = [1.0] + [1.0] * 10
-        lr = reduce_lr_on_plateau(losses, patience=5, factor=0.2, learning_rate=1.0)
+        lr = replay_plateau(losses, patience=5, factor=0.2, learning_rate=1.0)
         assert lr == pytest.approx(0.2 * 0.2)
 
 

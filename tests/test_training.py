@@ -12,7 +12,6 @@ from aedetect.training import (
     matrix_inverse_sqrt,
     mse_loss,
     train,
-    window_mse_loss,
 )
 
 
@@ -62,17 +61,17 @@ class TestMseLoss:
 class TestWindowMseLoss:
     def test_uniform_residual(self):
         x = np.zeros((1, 5, 51))
-        loss, _ = window_mse_loss(x, x + 0.1)
+        loss, _ = mse_loss(x, x + 0.1)
         assert loss == pytest.approx(0.01, abs=1e-15)
 
     def test_zero_residual(self):
         x = np.random.default_rng(2).random((2, 5, 3))
-        assert window_mse_loss(x, x.copy())[0] == 0.0
+        assert mse_loss(x, x.copy())[0] == 0.0
 
     def test_equals_flattened_mse(self):
         rng = np.random.default_rng(3)
         x, xhat = rng.random((4, 5, 6)), rng.random((4, 5, 6))
-        windowed, _ = window_mse_loss(x, xhat)
+        windowed, _ = mse_loss(x, xhat)
         flat, _ = mse_loss(x.reshape(4, 30), xhat.reshape(4, 30))
         assert windowed == flat
 
