@@ -26,6 +26,7 @@ from .models import (
     DenseAutoencoder,
     LstmAutoencoder,
     ModelBundle,
+    WindowRecipe,
     load_model,
     save_model,
 )
@@ -347,16 +348,16 @@ def _load_prepared(config: RunConfig) -> Prepared:
     return Prepared(plan, *matrices, labels, stamps, scaler)
 
 
-def _pool_windows(config: RunConfig, data: Prepared, model: LstmAutoencoder):
-    """Healthy training-pool windows of the model's length, split by the
-    seeded window-level validation sample: (train windows, labels, end rows,
-    validation windows, labels)."""
+def _pool_windows(data: Prepared, model: LstmAutoencoder, recipe: WindowRecipe):
+    """Healthy training-pool windows of the model's length at the recipe's
+    stride, split by its seeded window-level validation sample: (train
+    windows, labels, end rows, validation windows, labels)."""
     windows, wlabels, ends = data.windows(data.plan.pool_indices,
-                                          model.window_length, config.window_stride)
+                                          model.window_length, recipe.stride)
     if windows.shape[0] < 2:
         raise ValidationError("training pool is too short to window")
-    rng = np.random.default_rng(config.seed)
-    n_val = int(config.validation_ratio * windows.shape[0])
+    rng = np.random.default_rng(recipe.seed)
+    n_val = int(recipe.validation_ratio * windows.shape[0])
     val_pick = np.sort(rng.choice(windows.shape[0], size=n_val, replace=False))
     mask = np.zeros(windows.shape[0], dtype=bool)
     mask[val_pick] = True
@@ -364,20 +365,33 @@ def _pool_windows(config: RunConfig, data: Prepared, model: LstmAutoencoder):
             windows[mask], wlabels[mask])
 
 
-def _test_items(config: RunConfig, data: Prepared, model):
+def _test_items(data: Prepared, bundle: ModelBundle):
     """(items, row index per item, fault flag per item) of the test
-    partition: its rows for a dense model, windows of the model's length
-    (each at its end row) for an LSTM."""
+    partition: its rows for a dense model, windows of the model's length at
+    its recipe's stride (each at its end row) for an LSTM."""
     if data.test.shape[0] == 0:
         raise ValidationError("test partition is empty")
+    model = bundle.model
     if not isinstance(model, LstmAutoencoder):
         rows = data.plan.test_indices
         return data.test, rows, data.labels[rows]
-    windows, wlabels, ends = data.windows(data.plan.test_indices,
-                                          model.window_length, config.window_stride)
+    windows, wlabels, ends = data.windows(data.plan.test_indices, model.window_length,
+                                          bundle.window_recipe.stride)
     if windows.shape[0] == 0:
         raise ValidationError("test partition is too short to window")
     return windows, ends, wlabels
+
+
+def _load_bundle(config: RunConfig, thresholded: bool = True) -> ModelBundle:
+    """The model file of a later stage, which alone decides how items are
+    windowed and scored."""
+    bundle = load_model(config.model_path)
+    if isinstance(bundle.model, LstmAutoencoder) and bundle.window_recipe is None:
+        raise ValidationError(f"{config.model_path} records no window recipe; "
+                              "re-run train")
+    if thresholded and bundle.threshold is None:
+        raise ValidationError("model has no fitted threshold; run `threshold` first")
+    return bundle
 
 
 def _score(bundle: ModelBundle, items, indices,
@@ -397,6 +411,7 @@ def _score(bundle: ModelBundle, items, indices,
 def cmd_train(config: RunConfig) -> int:
     data = _load_prepared(config)
     plan, d = data.plan, data.train.shape[1]
+    recipe = None
     if config.architecture == "dense_ae":
         model = DenseAutoencoder(d=d, seed=config.seed)
         train_items, val_items = data.train, data.val
@@ -405,8 +420,10 @@ def cmd_train(config: RunConfig) -> int:
     else:
         model = LstmAutoencoder(d=d, window_length=config.window_length,
                                 seed=config.seed)
+        recipe = WindowRecipe(config.window_stride, config.seed,
+                              config.validation_ratio)
         train_items, train_labels, _ends, val_items, val_labels = _pool_windows(
-            config, data, model)
+            data, model, recipe)
     trained, report, cov = training.train(
         model, train_items, val_items, config.train_config(),
         train_labels=train_labels, val_labels=val_labels,
@@ -414,7 +431,8 @@ def cmd_train(config: RunConfig) -> int:
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ModelBundle(trained, data.scaler, covariance=cov)
+    bundle = ModelBundle(trained, data.scaler, covariance=cov,
+                         window_recipe=recipe)
     save_model(bundle, config.model_path)
     report.write_csv(out / "train_report.csv")
     print(f"trained {config.architecture} for {report.epochs_run} epochs "
@@ -424,11 +442,11 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_threshold(config: RunConfig) -> int:
-    bundle = load_model(config.model_path)
+    bundle = _load_bundle(config, thresholded=False)
     data = _load_prepared(config)
     if isinstance(bundle.model, LstmAutoencoder):
         items, _labels, indices, _val, _val_labels = _pool_windows(
-            config, data, bundle.model)
+            data, bundle.model, bundle.window_recipe)
     else:
         items, indices = data.train, data.plan.train_indices
     scores = _score(bundle, items, indices, from_training=True)
@@ -441,11 +459,9 @@ def cmd_threshold(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    bundle = load_model(config.model_path)
-    if bundle.threshold is None:
-        raise ValidationError("model has no fitted threshold; run `threshold` first")
+    bundle = _load_bundle(config)
     data = _load_prepared(config)
-    items, indices, _truth = _test_items(config, data, bundle.model)
+    items, indices, _truth = _test_items(data, bundle)
     series = _score(bundle, items, indices)
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
@@ -461,12 +477,9 @@ def cmd_detect(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    bundle = load_model(config.model_path)
-    if bundle.threshold is None:
-        raise ValidationError("model has no fitted threshold; run `threshold` first")
+    bundle = _load_bundle(config)
     out = config.out_path
-    _items, expected, truth = _test_items(config, _load_prepared(config),
-                                          bundle.model)
+    _items, expected, truth = _test_items(_load_prepared(config), bundle)
     rows = _read_csv_rows(out / "scores.csv",
                           lambda row: (int(row[0]), bool(int(row[3]))))
     indices = np.array([i for i, _ in rows], dtype=np.int64)
@@ -506,9 +519,9 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_export_latent(config: RunConfig) -> int:
-    bundle = load_model(config.model_path)
+    bundle = _load_bundle(config, thresholded=False)
     data = _load_prepared(config)
-    items, indices, _truth = _test_items(config, data, bundle.model)
+    items, indices, _truth = _test_items(data, bundle)
     latent = detector.extract_latent(bundle.model, items)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)

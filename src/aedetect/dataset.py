@@ -2,8 +2,7 @@
 
 File formats:
 - sensor CSV: UTF-8, header row, column 1 an ISO timestamp "YYYY-MM-DD HH:MM",
-  remaining columns numeric; empty fields (or a configurable sentinel such as
-  "NaN") mark missing cells.
+  remaining columns numeric; empty fields or "NaN" mark missing cells.
 - fault CSV: header "start,duration_minutes".
 """
 
@@ -23,7 +22,7 @@ from .errors import (
 )
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
-DEFAULT_MISSING_MARKERS = ("", "NaN")
+MISSING_MARKERS = ("", "NaN")
 
 ONE_MINUTE = np.timedelta64(1, "m")
 
@@ -114,18 +113,13 @@ class FaultSchedule:
         object.__setattr__(self, "intervals", tuple(normalized))
 
 
-def load_sensor_csv(
-    path,
-    timestamp_column: str | None = None,
-    missing_markers=DEFAULT_MISSING_MARKERS,
-) -> SensorLog:
+def load_sensor_csv(path) -> SensorLog:
     """Load a sensor CSV into a SensorLog.
 
     Rows are sorted by timestamp before the uniform-grid check; duplicate
     timestamps and gaps other than one minute are rejected. Cells equal to
-    one of `missing_markers` become NaN.
+    one of MISSING_MARKERS become NaN.
     """
-    markers = set(missing_markers)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,13 +128,7 @@ def load_sensor_csv(
             raise ParseError("empty file: missing header row") from None
         if len(header) < 2:
             raise ParseError("header must name a timestamp column and >=1 channel")
-        header = [h.strip() for h in header]
-        ts_col = 0
-        if timestamp_column is not None:
-            if timestamp_column not in header:
-                raise ParseError(f"timestamp column {timestamp_column!r} not in header")
-            ts_col = header.index(timestamp_column)
-        channel_names = tuple(h for i, h in enumerate(header) if i != ts_col)
+        channel_names = tuple(h.strip() for h in header[1:])
 
         timestamps = []
         rows = []
@@ -151,14 +139,11 @@ def load_sensor_csv(
                 raise ParseError(
                     f"row {row_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            timestamps.append(_parse_timestamp(row[ts_col], row_no))
+            timestamps.append(_parse_timestamp(row[0], row_no))
             parsed = np.empty(len(channel_names), dtype=np.float64)
-            j = 0
-            for i, cell in enumerate(row):
-                if i == ts_col:
-                    continue
+            for j, cell in enumerate(row[1:]):
                 cell = cell.strip()
-                if cell in markers:
+                if cell in MISSING_MARKERS:
                     parsed[j] = np.nan
                 else:
                     try:
@@ -170,7 +155,6 @@ def load_sensor_csv(
                     if np.isinf(value):
                         raise ParseError(f"row {row_no}: non-finite value {cell!r}")
                     parsed[j] = value
-                j += 1
             rows.append(parsed)
 
     if not rows:

@@ -3,12 +3,15 @@
 Model files are single JSON documents with flat row-major weight arrays plus
 shape metadata; the scaler (and threshold/covariance once fitted) travel
 inside the file so a model can never be deployed with the wrong normalization.
+An LSTM file also records the window recipe `train` used, so the later
+stages cut the same windows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,45 +23,35 @@ from .training import CovarianceModel
 
 SCHEMA_VERSION = 1
 
-DENSE_HIDDEN = (36, 12, 8)
-LSTM_ENCODER_UNITS = (16, 8)
+LATENT = 8  # width of both bottlenecks
 
 
-class DenseAutoencoder:
-    """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh."""
+class _LayerStack:
+    """Layers run front to back on (batch, *item_shape) inputs; `forward`
+    also returns the output of layer `latent_index`, the latent code."""
 
-    architecture = "dense_ae"
+    architecture: str
+    latent_index: int
+    latent_width = LATENT
 
-    def __init__(self, d: int, hidden_sizes=DENSE_HIDDEN, seed: int = 0):
-        if d < 1:
-            raise ValidationError("feature count d must be >= 1")
-        sizes = (d,) + tuple(hidden_sizes) + tuple(reversed(hidden_sizes[:-1])) + (d,)
-        rng = np.random.default_rng(seed)
-        self.d = d
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.layers = [
-            DenseLayer(sizes[i], sizes[i + 1], "tanh", rng)
-            for i in range(len(sizes) - 1)
-        ]
-        self._bottleneck = len(hidden_sizes) - 1  # layer index producing the latent
-        expected = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
-        if self.parameter_count() != expected:
-            raise ValidationError(
-                f"parameter count {self.parameter_count()} != expected {expected}"
-            )
-
-    @property
-    def latent_width(self) -> int:
-        return self.hidden_sizes[-1]
+    def __init__(self, item_shape: tuple[int, ...], layers: list):
+        self.item_shape = item_shape
+        self.d = item_shape[-1]
+        self.layers = layers
 
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Returns (reconstruction, latent); cache=False is the inference
         pass, which `backward` cannot follow."""
         h = np.asarray(x, dtype=np.float64)
+        if h.shape[1:] != self.item_shape:
+            raise ValidationError(
+                f"expected (batch, {', '.join(map(str, self.item_shape))}), "
+                f"got {h.shape}"
+            )
         latent = None
         for i, layer in enumerate(self.layers):
             h = layer.forward(h, cache)
-            if i == self._bottleneck:
+            if i == self.latent_index:
                 latent = h
         return h, latent
 
@@ -78,64 +71,66 @@ class DenseAutoencoder:
         return sum(p.size for p in self.parameters())
 
 
-class LstmAutoencoder:
+class DenseAutoencoder(_LayerStack):
+    """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh."""
+
+    architecture = "dense_ae"
+    latent_index = 2
+
+    def __init__(self, d: int, seed: int = 0):
+        if d < 1:
+            raise ValidationError("feature count d must be >= 1")
+        sizes = (d, 36, 12, LATENT, 12, 36, d)
+        rng = np.random.default_rng(seed)
+        super().__init__((d,), [DenseLayer(a, b, "tanh", rng)
+                                for a, b in zip(sizes, sizes[1:])])
+
+
+class LstmAutoencoder(_LayerStack):
     """Sequence autoencoder LSTM(16)->LSTM(8) -> repeat -> LSTM(8)->LSTM(16)
-    -> shared tanh dense head; reconstructs (batch, T, d) windows."""
+    -> shared tanh dense head; reconstructs (batch, T, d) windows, and the
+    latent is the encoder's end state."""
 
     architecture = "lstm_ae"
+    latent_index = 1
 
-    def __init__(self, d: int, window_length: int = 5,
-                 encoder_units=LSTM_ENCODER_UNITS, seed: int = 0):
+    def __init__(self, d: int, window_length: int = 5, seed: int = 0):
         if d < 1 or window_length < 1:
             raise ValidationError("d and window_length must be >= 1")
-        u1, u2 = encoder_units
         rng = np.random.default_rng(seed)
-        self.d = d
         self.window_length = window_length
-        self.encoder_units = (u1, u2)
-        self.layers = [
-            LstmLayer(d, u1, return_sequences=True, rng=rng),
-            LstmLayer(u1, u2, return_sequences=False, rng=rng),
+        super().__init__((window_length, d), [
+            LstmLayer(d, 16, return_sequences=True, rng=rng),
+            LstmLayer(16, LATENT, return_sequences=False, rng=rng),
             RepeatVector(window_length),
-            LstmLayer(u2, u2, return_sequences=True, rng=rng),
-            LstmLayer(u2, u1, return_sequences=True, rng=rng),
-            TimeDistributedDense(u1, d, "tanh", rng),
-        ]
+            LstmLayer(LATENT, LATENT, return_sequences=True, rng=rng),
+            LstmLayer(LATENT, 16, return_sequences=True, rng=rng),
+            TimeDistributedDense(16, d, "tanh", rng),
+        ])
 
-    @property
-    def latent_width(self) -> int:
-        return self.encoder_units[1]
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent); latent is the encoder end state.
-        cache=False is the inference pass, which `backward` cannot follow."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.window_length or x.shape[2] != self.d:
+@dataclass(frozen=True)
+class WindowRecipe:
+    """How `train` cut an LSTM's training pool into windows: the stride, and
+    the seed and share of the window-level validation sample. `threshold`
+    cuts the same training windows from it, and the later stages window the
+    test rows at its stride."""
+
+    stride: int
+    seed: int
+    validation_ratio: float
+
+    def __post_init__(self):
+        if self.stride < 1 or self.seed < 0 or not 0.0 <= self.validation_ratio < 1.0:
             raise ValidationError(
-                f"expected (batch, {self.window_length}, {self.d}), got {x.shape}"
+                "window stride must be >= 1, seed >= 0 and validation_ratio "
+                f"in [0, 1); got {self}"
             )
-        h = x
-        latent = None
-        for i, layer in enumerate(self.layers):
-            h = layer.forward(h, cache)
-            if i == 1:
-                latent = h
-        return h, latent
 
-    def backward(self, grad_recon: np.ndarray) -> np.ndarray:
-        g = grad_recon
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.gradients()]
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+    @classmethod
+    def from_doc(cls, doc) -> WindowRecipe:
+        return cls(operator.index(doc["stride"]), operator.index(doc["seed"]),
+                   float(doc["validation_ratio"]))
 
 
 @dataclass
@@ -146,33 +141,35 @@ class ModelBundle:
     scaler: ScalerParams
     threshold: ThresholdSpec | None = None
     covariance: CovarianceModel | None = None
+    window_recipe: WindowRecipe | None = None
 
 
-def _dense_layer_doc(layer: DenseLayer) -> dict:
-    return {
-        "type": "dense",
-        "in": layer.in_size,
-        "out": layer.out_size,
-        "activation": layer.activation,
-        "W": layer.W.ravel().tolist(),
-        "b": layer.b.tolist(),
-    }
-
-
-def _lstm_layer_doc(layer: LstmLayer) -> dict:
+def _layer_fields(layer) -> tuple[dict, dict]:
+    """A layer's model-file entry in two parts: the fields that name its type
+    and sizes, and each weight field's parameter array (for an LSTM, a view
+    of one gate's rows of the stacked weights)."""
+    if isinstance(layer, TimeDistributedDense):
+        return _layer_fields(layer.inner)
+    if isinstance(layer, RepeatVector):
+        return {"type": "repeat_vector", "T": layer.steps}, {}
+    if isinstance(layer, DenseLayer):
+        return ({"type": "dense", "in": layer.in_size, "out": layer.out_size,
+                 "activation": layer.activation},
+                {"W": layer.W, "b": layer.b})
     u = layer.units
-    doc = {
-        "type": "lstm",
-        "in": layer.in_size,
-        "units": u,
-        "return_sequences": layer.return_sequences,
-    }
+    weights = {}
     for k, gate in enumerate(LstmLayer.GATES):
         rows = slice(k * u, (k + 1) * u)
-        doc[f"W_{gate}"] = layer.Wx[rows].ravel().tolist()
-        doc[f"U_{gate}"] = layer.Wh[rows].ravel().tolist()
-        doc[f"b_{gate}"] = layer.b[rows].tolist()
-    return doc
+        weights[f"W_{gate}"] = layer.Wx[rows]
+        weights[f"U_{gate}"] = layer.Wh[rows]
+        weights[f"b_{gate}"] = layer.b[rows]
+    return ({"type": "lstm", "in": layer.in_size, "units": u,
+             "return_sequences": layer.return_sequences}, weights)
+
+
+def _layer_doc(layer) -> dict:
+    header, weights = _layer_fields(layer)
+    return {**header, **{key: w.ravel().tolist() for key, w in weights.items()}}
 
 
 def _doc_array(doc: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -189,26 +186,21 @@ def _doc_array(doc: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _load_dense_layer(doc: dict, layer: DenseLayer) -> None:
-    if doc.get("in") != layer.in_size or doc.get("out") != layer.out_size:
-        raise ModelFormatError(
-            f"dense layer shape {doc.get('in')}x{doc.get('out')} does not match "
-            f"architecture {layer.in_size}x{layer.out_size}"
-        )
-    layer.activation = doc.get("activation", "tanh")
-    layer.W = _doc_array(doc, "W", (layer.out_size, layer.in_size))
-    layer.b = _doc_array(doc, "b", (layer.out_size,))
-
-
-def _load_lstm_layer(doc: dict, layer: LstmLayer) -> None:
-    if doc.get("in") != layer.in_size or doc.get("units") != layer.units:
-        raise ModelFormatError("lstm layer shape does not match architecture")
-    u = layer.units
-    for k, gate in enumerate(LstmLayer.GATES):
-        rows = slice(k * u, (k + 1) * u)
-        layer.Wx[rows] = _doc_array(doc, f"W_{gate}", (u, layer.in_size))
-        layer.Wh[rows] = _doc_array(doc, f"U_{gate}", (u, u))
-        layer.b[rows] = _doc_array(doc, f"b_{gate}", (u,))
+def _load_layer(doc, layer, position: int) -> None:
+    """Copies one layer entry into the architecture's layer at `position`;
+    the entry's type, sizes, activation, return_sequences and repeat count
+    must be the layer's own."""
+    header, weights = _layer_fields(layer)
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"layer {position} is not a JSON object")
+    for key, value in header.items():
+        if doc.get(key) != value:
+            raise ModelFormatError(
+                f"layer {position}: {key} is {doc.get(key)!r}, but the "
+                f"architecture has {value!r}"
+            )
+    for key, w in weights.items():
+        w[...] = _doc_array(doc, key, w.shape)
 
 
 def to_document(bundle: ModelBundle) -> dict:
@@ -220,25 +212,12 @@ def to_document(bundle: ModelBundle) -> dict:
     }
     if isinstance(model, LstmAutoencoder):
         doc["T"] = model.window_length
-        doc["layers"] = [
-            _lstm_layer_doc(model.layers[0]),
-            _lstm_layer_doc(model.layers[1]),
-            {"type": "repeat_vector", "T": model.window_length},
-            _lstm_layer_doc(model.layers[3]),
-            _lstm_layer_doc(model.layers[4]),
-            _dense_layer_doc(model.layers[5].inner),
-        ]
-    else:
-        doc["layers"] = [_dense_layer_doc(layer) for layer in model.layers]
+    if bundle.window_recipe is not None:
+        doc["window_recipe"] = asdict(bundle.window_recipe)
+    doc["layers"] = [_layer_doc(layer) for layer in model.layers]
     doc["scaler"] = bundle.scaler.to_doc()
     if bundle.threshold is not None:
-        t = bundle.threshold
-        doc["threshold"] = {
-            "alpha": t.alpha,
-            "tau": t.tau,
-            "kind": t.kind,
-            "fitted_on": t.fitted_on,
-        }
+        doc["threshold"] = asdict(bundle.threshold)
     if bundle.covariance is not None:
         cov = bundle.covariance
         doc["covariance"] = {
@@ -249,6 +228,32 @@ def to_document(bundle: ModelBundle) -> dict:
     return doc
 
 
+def _positive_int(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if not isinstance(value, int) or value < 1:
+        raise ModelFormatError(f"model file needs a positive integer {key!r}")
+    return value
+
+
+def _block(doc: dict, key: str, parse):
+    """parse(doc[key]); a missing or malformed block is a ModelFormatError."""
+    try:
+        return parse(doc[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"model file has a bad {key} block") from exc
+
+
+def _threshold(tdoc) -> ThresholdSpec:
+    return ThresholdSpec(alpha=float(tdoc["alpha"]), tau=float(tdoc["tau"]),
+                         kind=str(tdoc["kind"]), fitted_on=int(tdoc["fitted_on"]))
+
+
+def _covariance(cdoc) -> CovarianceModel:
+    cd = int(cdoc["d"])
+    return CovarianceModel.from_sigma(_doc_array(cdoc, "sigma", (cd, cd)),
+                                      float(cdoc["epsilon"]))
+
+
 def from_document(doc: dict) -> ModelBundle:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -256,72 +261,30 @@ def from_document(doc: dict) -> ModelBundle:
             f"unsupported schema_version {version!r}; this build reads "
             f"{SCHEMA_VERSION}"
         )
-    arch = doc.get("architecture")
-    try:
-        d = int(doc["d"])
-        layer_docs = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError("model file is missing required fields") from exc
-    if arch == "dense_ae":
-        model = DenseAutoencoder(d)
-        if len(layer_docs) != len(model.layers):
-            raise ModelFormatError(
-                f"expected {len(model.layers)} layers, found {len(layer_docs)}"
-            )
-        for ldoc, layer in zip(layer_docs, model.layers):
-            if ldoc.get("type") != "dense":
-                raise ModelFormatError("dense_ae files may only hold dense layers")
-            _load_dense_layer(ldoc, layer)
-    elif arch == "lstm_ae":
-        steps = doc.get("T")
-        if not isinstance(steps, int) or steps < 1:
-            raise ModelFormatError("lstm_ae files must carry a positive T")
-        model = LstmAutoencoder(d, window_length=steps)
-        if len(layer_docs) != 6:
-            raise ModelFormatError("lstm_ae files must hold exactly 6 layers")
-        _load_lstm_layer(layer_docs[0], model.layers[0])
-        _load_lstm_layer(layer_docs[1], model.layers[1])
-        if layer_docs[2].get("type") != "repeat_vector" or layer_docs[2].get("T") != steps:
-            raise ModelFormatError("third layer must be repeat_vector with matching T")
-        _load_lstm_layer(layer_docs[3], model.layers[3])
-        _load_lstm_layer(layer_docs[4], model.layers[4])
-        if layer_docs[5].get("type") != "dense":
-            raise ModelFormatError("output head must be a dense layer")
-        _load_dense_layer(layer_docs[5], model.layers[5].inner)
-    else:
-        raise ModelFormatError(f"unknown architecture {arch!r}")
-
-    try:
-        scaler = ScalerParams.from_doc(doc["scaler"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError("model file has a bad scaler block") from exc
+    scaler = _block(doc, "scaler", ScalerParams.from_doc)
+    d = _positive_int(doc, "d")
     if scaler.minimum.shape[0] != d:
         raise ModelFormatError("scaler dimension does not match d")
+    arch = doc.get("architecture")
+    if arch == "dense_ae":
+        model = DenseAutoencoder(d)
+    elif arch == "lstm_ae":
+        model = LstmAutoencoder(d, _positive_int(doc, "T"))
+    else:
+        raise ModelFormatError(f"unknown architecture {arch!r}")
+    layer_docs = doc.get("layers")
+    if not isinstance(layer_docs, list) or len(layer_docs) != len(model.layers):
+        raise ModelFormatError(f"{arch} files hold a list of {len(model.layers)} layers")
+    for position, (layer_doc, layer) in enumerate(zip(layer_docs, model.layers)):
+        _load_layer(layer_doc, layer, position)
 
-    threshold = None
-    if "threshold" in doc:
-        tdoc = doc["threshold"]
-        try:
-            threshold = ThresholdSpec(
-                alpha=float(tdoc["alpha"]),
-                tau=float(tdoc["tau"]),
-                kind=str(tdoc["kind"]),
-                fitted_on=int(tdoc["fitted_on"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError("model file has a bad threshold block") from exc
-
-    covariance = None
-    if "covariance" in doc:
-        cdoc = doc["covariance"]
-        try:
-            cd = int(cdoc["d"])
-            sigma = _doc_array(cdoc, "sigma", (cd, cd))
-            covariance = CovarianceModel.from_sigma(sigma, float(cdoc["epsilon"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError("model file has a bad covariance block") from exc
-
-    return ModelBundle(model, scaler, threshold, covariance)
+    return ModelBundle(
+        model, scaler,
+        _block(doc, "threshold", _threshold) if "threshold" in doc else None,
+        _block(doc, "covariance", _covariance) if "covariance" in doc else None,
+        _block(doc, "window_recipe", WindowRecipe.from_doc)
+        if "window_recipe" in doc else None,
+    )
 
 
 def save_model(bundle: ModelBundle, path) -> None:

@@ -114,22 +114,6 @@ def _dct_basis(n: int) -> np.ndarray:
     return basis
 
 
-def factor_mixing(n_channels: int, n_factors: int, jitter_scale: float) -> np.ndarray:
-    """Mixing matrix whose noise is dominated by `n_factors` shared factors,
-    with per-channel jitter of relative scale `jitter_scale` in the
-    complementary directions. Rows are normalized, so mixed noise keeps each
-    channel's configured marginal sigma."""
-    if not 1 <= n_factors <= n_channels:
-        raise ValidationError("n_factors must lie in [1, n_channels]")
-    if jitter_scale <= 0.0:
-        raise ValidationError("jitter_scale must be positive")
-    basis = _dct_basis(n_channels)
-    scales = np.full(n_channels, jitter_scale)
-    scales[:n_factors] = 1.0
-    mixing = basis @ np.diag(scales) @ basis.T
-    return mixing / np.linalg.norm(mixing, axis=1, keepdims=True)
-
-
 def structured_mixing(
     n_channels: int,
     n_factors: int,

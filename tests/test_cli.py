@@ -302,11 +302,14 @@ class TestMahalanobisPipeline:
 
 # sha256 (first 16 hex digits) of each output of a train -> threshold ->
 # detect -> eval run per score kind on the `gappy_dir` data, recorded before
-# the CLI's score dispatch was rewritten; any change of output bytes fails
+# the CLI's score dispatch was rewritten; any change of output bytes fails.
+# The LSTM model.json digest was re-recorded when the file gained its
+# window_recipe block; without that block the file is byte-identical to the
+# one of digest 7bf7a19f9ccdb6c1.
 GOLDEN = {
     "mse_point": {"model.json": "c7c69689758628f2", "scores.csv": "12121dcd3b5052b7",
                   "metrics.csv": "4b54a8d7eb80316b"},
-    "mse_window": {"model.json": "7bf7a19f9ccdb6c1", "scores.csv": "a5d81cf6a32f48b3",
+    "mse_window": {"model.json": "a9437520a73be693", "scores.csv": "a5d81cf6a32f48b3",
                    "metrics.csv": "056e67315338bd4f"},
     "mahalanobis": {"model.json": "c6c33f8d00c6be3a", "scores.csv": "1b7548dffe2088d2",
                     "metrics.csv": "d5b54cbc241c723b"},
@@ -381,3 +384,28 @@ class TestModelFileDecidesScoreKind:
         capsys.readouterr()
         assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert "scores.csv" in capsys.readouterr().err
+
+    def test_lstm_later_stages_take_windows_from_the_model_file(self, gappy_dir,
+                                                                  tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train",), GOLDEN_FLAGS["mse_window"])
+        trained = (out / "model.json").read_bytes()
+        thresholds, scores = [], []
+        for flags in (["--seed", 5], ["--seed", 6],
+                      ["--pipeline.validation_ratio", 0.5],
+                      ["--pipeline.window_stride", 3]):
+            (out / "model.json").write_bytes(trained)
+            assert run(["threshold", "--out-dir", out] + flags) == EXIT_OK
+            assert run(["detect", "--out-dir", out] + flags) == EXIT_OK
+            thresholds.append(json.loads((out / "model.json").read_text())["threshold"])
+            scores.append((out / "scores.csv").read_bytes())
+        assert all(t == thresholds[0] for t in thresholds)
+        assert all(s == scores[0] for s in scores)
+
+        doc = json.loads(trained)
+        del doc["window_recipe"]
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["threshold", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "re-run train" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from aedetect.models import (
     DenseAutoencoder,
     LstmAutoencoder,
     ModelBundle,
+    WindowRecipe,
     from_document,
     load_model,
     save_model,
@@ -146,10 +147,26 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
-    def test_shape_inconsistency(self, tmp_path):
-        model = DenseAutoencoder(d=3, seed=0)
-        doc = to_document(ModelBundle(model, make_scaler(3)))
-        doc["layers"][0]["W"] = doc["layers"][0]["W"][:-1]
+    @pytest.mark.parametrize("arch, corrupt", [
+        ("dense_ae", lambda doc: doc["layers"][0].update(W=doc["layers"][0]["W"][:-1])),
+        ("lstm_ae", lambda doc: doc.update(layers=5)),
+        ("lstm_ae", lambda doc: doc["layers"].__setitem__(3, 7)),
+        ("lstm_ae", lambda doc: doc["layers"][5].update(activation="relu")),
+        ("lstm_ae", lambda doc: doc["layers"][0].update(type="dense")),
+        ("lstm_ae", lambda doc: doc["layers"][1].update(return_sequences=True)),
+        ("lstm_ae", lambda doc: doc["layers"][2].update(T=5)),
+        ("lstm_ae", lambda doc: doc["window_recipe"].update(stride=0)),
+    ], ids=["dense-short-W", "layers-not-a-list", "layer-not-an-object",
+            "head-activation", "lstm-type", "lstm-return-sequences",
+            "repeat-T", "recipe-stride"])
+    def test_shape_inconsistency(self, arch, corrupt):
+        if arch == "dense_ae":
+            bundle = ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3))
+        else:
+            bundle = ModelBundle(LstmAutoencoder(d=3, window_length=4, seed=0),
+                                 make_scaler(3), window_recipe=WindowRecipe(1, 5, 0.2))
+        doc = to_document(bundle)
+        corrupt(doc)
         with pytest.raises(ModelFormatError):
             from_document(doc)
 

@@ -9,7 +9,6 @@ from aedetect.synthplant import (
     PlantConfig,
     common_factor_mixing,
     default_config,
-    factor_mixing,
     generate,
     structured_mixing,
 )
@@ -156,10 +155,6 @@ class TestGenerate:
 class TestMixingMatrices:
     def test_common_factor_rows_unit_norm(self):
         m = common_factor_mixing(8, 0.85)
-        assert np.allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-12)
-
-    def test_factor_mixing_rows_unit_norm(self):
-        m = factor_mixing(8, 3, 0.2)
         assert np.allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-12)
 
     def test_structured_mixing_rows_unit_norm(self):
