@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -103,6 +102,8 @@ class RunConfig:
             raise ValidationError("the mahalanobis loss applies to dense_ae only")
         if not 0.0 < self.alpha <= 100.0:
             raise ValidationError(f"alpha must lie in (0, 100], got {self.alpha}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def out_path(self) -> Path:
@@ -201,37 +202,14 @@ def _require(value, name: str) -> str:
     return value
 
 
-def _write_labels(path, row_indices, timestamps, flags) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "timestamp", "label"])
-        for i, ts, flag in zip(row_indices, timestamps, flags):
-            writer.writerow([int(i), dataset.format_timestamp(ts), int(flag)])
-
-
-def _read_csv_rows(path, parse) -> list:
-    """parse(row) for each non-empty row after the header; an empty file or
-    a row that does not parse raises ParseError with the file and row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ParseError(f"{path}: row 1: missing header")
-        rows = []
-        for row in reader:
-            if row:
-                try:
-                    rows.append(parse(row))
-                except (IndexError, ValueError) as exc:
-                    raise ParseError(
-                        f"{path}: row {reader.line_num}: cannot parse {row!r} ({exc})"
-                    ) from None
-    return rows
+LABELS_HEADER = ("row_index", "timestamp", "label")
+SCORES_HEADER = ("index", "timestamp", "score", "flagged")
 
 
 def _read_labels(path) -> tuple[np.ndarray, list[str]]:
     """Returns (flags over all rows, timestamp strings per row)."""
-    rows = _read_csv_rows(
-        path, lambda row: (int(row[0]), row[1], bool(int(row[2])))
+    _, rows = dataset.read_table(
+        path, lambda row: (int(row[0]), row[1], bool(int(row[2]))), LABELS_HEADER
     )
     rows.sort()
     n = rows[-1][0] + 1 if rows else 0
@@ -271,8 +249,9 @@ def cmd_prepare(config: RunConfig) -> int:
     preprocess.write_matrix_csv(scaled[plan.test_indices], log.channel_names,
                                 out / "test.csv")
     preprocess.write_split_plan(plan, out / "split_plan.csv")
-    _write_labels(out / "labels.csv", np.arange(log.n_samples), log.timestamps,
-                  labels)
+    dataset.write_table(out / "labels.csv", LABELS_HEADER, (
+        [i, dataset.format_timestamp(ts), int(flag)]
+        for i, (ts, flag) in enumerate(zip(log.timestamps, labels))))
     with open(out / "scaler.json", "w", encoding="utf-8") as fh:
         json.dump(scaler.to_doc(), fh, indent=1)
         fh.write("\n")
@@ -466,11 +445,9 @@ def cmd_detect(config: RunConfig) -> int:
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scores.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "timestamp", "score", "flagged"])
-        for i, score, flag in zip(series.indices, series.scores, flags):
-            writer.writerow([int(i), data.stamps[i], repr(float(score)), int(flag)])
+    dataset.write_table(out / "scores.csv", SCORES_HEADER, (
+        [int(i), data.stamps[i], repr(float(score)), int(flag)]
+        for i, score, flag in zip(series.indices, series.scores, flags)))
     print(f"scored {len(series)} test items ({series.kind}); "
           f"{int(flags.sum())} flagged")
     return EXIT_OK
@@ -480,8 +457,9 @@ def cmd_eval(config: RunConfig) -> int:
     bundle = _load_bundle(config)
     out = config.out_path
     _items, expected, truth = _test_items(_load_prepared(config), bundle)
-    rows = _read_csv_rows(out / "scores.csv",
-                          lambda row: (int(row[0]), bool(int(row[3]))))
+    _, rows = dataset.read_table(out / "scores.csv",
+                                 lambda row: (int(row[0]), bool(int(row[3]))),
+                                 SCORES_HEADER)
     indices = np.array([i for i, _ in rows], dtype=np.int64)
     flags = np.array([flag for _, flag in rows], dtype=bool)
     if indices.shape != expected.shape or (indices != expected).any():
@@ -525,13 +503,11 @@ def cmd_export_latent(config: RunConfig) -> int:
     latent = detector.extract_latent(bundle.model, items)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "latent.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        width = latent.shape[1]
-        writer.writerow(["index", "timestamp"] + [f"z{k + 1}" for k in range(width)])
-        for i, row in zip(indices, latent):
-            writer.writerow([int(i), data.stamps[i]] +
-                            [repr(float(v)) for v in row])
+    dataset.write_table(
+        out / "latent.csv",
+        ["index", "timestamp"] + [f"z{k + 1}" for k in range(latent.shape[1])],
+        ([int(i), data.stamps[i]] + [repr(float(v)) for v in row]
+         for i, row in zip(indices, latent)))
     print(f"exported {latent.shape[0]} latent vectors "
           f"(width {latent.shape[1]}) to {out / 'latent.csv'}")
     return EXIT_OK

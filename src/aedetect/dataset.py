@@ -1,14 +1,18 @@
-"""Sensor-log and fault-schedule ingestion.
+"""Sensor-log and fault-schedule ingestion, and the CSV table codec that
+every pipeline file goes through.
 
 File formats:
-- sensor CSV: UTF-8, header row, column 1 an ISO timestamp "YYYY-MM-DD HH:MM",
-  remaining columns numeric; empty fields or "NaN" mark missing cells.
+- every CSV (`write_table`/`read_table`): UTF-8, a header row, and every
+  non-empty row with the header's field count.
+- sensor CSV: column 1 an ISO timestamp "YYYY-MM-DD HH:MM", remaining
+  columns numeric; empty fields or "NaN" mark missing cells.
 - fault CSV: header "start,duration_minutes".
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -23,15 +27,50 @@ from .errors import (
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 MISSING_MARKERS = ("", "NaN")
+FAULT_HEADER = ("start", "duration_minutes")
 
 ONE_MINUTE = np.timedelta64(1, "m")
 
 
-def _parse_timestamp(text: str, row: int) -> np.datetime64:
-    try:
-        dt = datetime.strptime(text.strip(), TIMESTAMP_FORMAT)
-    except ValueError as exc:
-        raise ParseError(f"row {row}: malformed timestamp {text!r}") from exc
+def write_table(path, header, rows) -> None:
+    """One CSV table: UTF-8, the header row, then each row of the iterable
+    `rows` as it comes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, parse, header=None) -> tuple[list[str], list]:
+    """The header row (cells stripped) and `parse(row)` for each non-empty
+    row of a CSV table. The header must equal `header` when one is given,
+    and every row must have the header's field count. A missing or wrong
+    header, undecodable bytes, a malformed line, a short or long row, or a
+    LookupError/ValueError from `parse` raises one ParseError naming the file
+    and row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = [h.strip() for h in next(reader, ())]
+            if not found:
+                raise ValueError("missing header")
+            if header is not None and found != list(header):
+                raise ValueError(f"header must be {','.join(header)!r}, "
+                                 f"got {','.join(found)!r}")
+            width, rows = len(found), []
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    rows.append(parse(row))
+        except (csv.Error, LookupError, ValueError) as exc:
+            what = f"unknown value {exc}" if isinstance(exc, KeyError) else exc
+            raise ParseError(f"{path}: row {reader.line_num or 1}: {what}") from None
+    return found, rows
+
+
+def _parse_timestamp(text: str) -> np.datetime64:
+    dt = datetime.strptime(text.strip(), TIMESTAMP_FORMAT)  # ValueError if malformed
     return np.datetime64(dt.strftime("%Y-%m-%dT%H:%M"), "m")
 
 
@@ -120,103 +159,57 @@ def load_sensor_csv(path) -> SensorLog:
     timestamps and gaps other than one minute are rejected. Cells equal to
     one of MISSING_MARKERS become NaN.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header row") from None
-        if len(header) < 2:
-            raise ParseError("header must name a timestamp column and >=1 channel")
-        channel_names = tuple(h.strip() for h in header[1:])
+    timestamps = []
 
-        timestamps = []
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            timestamps.append(_parse_timestamp(row[0], row_no))
-            parsed = np.empty(len(channel_names), dtype=np.float64)
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell in MISSING_MARKERS:
-                    parsed[j] = np.nan
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError as exc:
-                        raise ParseError(
-                            f"row {row_no}: cannot parse {cell!r} as a number"
-                        ) from exc
-                    if np.isinf(value):
-                        raise ParseError(f"row {row_no}: non-finite value {cell!r}")
-                    parsed[j] = value
-            rows.append(parsed)
+    def parse(row):
+        timestamps.append(_parse_timestamp(row[0]))
+        parsed = np.empty(len(row) - 1, dtype=np.float64)
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell in MISSING_MARKERS:
+                parsed[j] = np.nan
+            else:
+                value = float(cell)
+                if math.isinf(value):
+                    raise ValueError(f"non-finite value {cell!r}")
+                parsed[j] = value
+        return parsed
 
+    header, rows = read_table(path, parse)
+    if len(header) < 2:
+        raise ParseError(f"{path}: header must name a timestamp and a channel")
     if not rows:
-        raise ParseError("file has a header but no data rows")
+        raise ParseError(f"{path}: file has a header but no data rows")
     ts = np.array(timestamps, dtype="datetime64[m]")
     values = np.vstack(rows)
     order = np.argsort(ts, kind="stable")
-    return SensorLog(ts[order], channel_names, values[order])
+    return SensorLog(ts[order], tuple(header[1:]), values[order])
 
 
 def write_sensor_csv(log: SensorLog, path) -> None:
     """Write a SensorLog back to CSV; finite cells round-trip bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp",) + log.channel_names)
-        for i in range(log.n_samples):
-            cells = [format_timestamp(log.timestamps[i])]
-            for x in log.values[i]:
-                cells.append("" if np.isnan(x) else repr(float(x)))
-            writer.writerow(cells)
+    write_table(path, ("timestamp",) + log.channel_names, (
+        [format_timestamp(ts)]
+        + ["" if math.isnan(x) else repr(x) for x in row.tolist()]
+        for ts, row in zip(log.timestamps, log.values)))
 
 
 def load_fault_intervals(path) -> FaultSchedule:
     """Load a fault CSV with columns start,duration_minutes."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty file: missing header row") from None
-        if header[:2] != ["start", "duration_minutes"]:
-            raise ParseError(
-                "fault CSV header must be 'start,duration_minutes', "
-                f"got {','.join(header)!r}"
-            )
-        intervals = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ParseError(f"row {row_no}: expected 2 fields")
-            start = _parse_timestamp(row[0], row_no)
-            try:
-                duration = int(row[1].strip())
-            except ValueError as exc:
-                raise ParseError(
-                    f"row {row_no}: cannot parse duration {row[1]!r}"
-                ) from exc
-            if duration <= 0:
-                raise ValidationError(
-                    f"row {row_no}: duration must be a positive minute count"
-                )
-            intervals.append((start, duration))
+
+    def parse(row):
+        start, duration = _parse_timestamp(row[0]), int(row[1])
+        if duration <= 0:
+            raise ValueError("duration must be a positive minute count")
+        return start, duration
+
+    _, intervals = read_table(path, parse, FAULT_HEADER)
     return FaultSchedule(tuple(intervals))
 
 
 def write_fault_intervals(schedule: FaultSchedule, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "duration_minutes"])
-        for start, duration in schedule.intervals:
-            writer.writerow([format_timestamp(start), duration])
+    write_table(path, FAULT_HEADER, ((format_timestamp(start), duration)
+                                     for start, duration in schedule.intervals))
 
 
 def label_samples(log: SensorLog, schedule: FaultSchedule) -> np.ndarray:

@@ -6,11 +6,11 @@ writers render that as an explicit "undefined".
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_table
 from .errors import ValidationError
 
 
@@ -101,13 +101,5 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
         ("specificity", report.specificity),
         ("f1", report.f1),
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in rows:
-            if value is None:
-                writer.writerow([name, ""])
-            elif isinstance(value, int):
-                writer.writerow([name, value])
-            else:
-                writer.writerow([name, repr(value)])
+    write_table(path, ["metric", "value"],
+                ((name, "" if value is None else repr(value)) for name, value in rows))

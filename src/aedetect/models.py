@@ -297,8 +297,8 @@ def load_model(path) -> ModelBundle:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # undecodable bytes too
+            raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
     return from_document(doc)

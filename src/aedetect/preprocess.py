@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SensorLog
+from .dataset import SensorLog, read_table, write_table
 from .errors import LeakageError, ParseError, ValidationError
 
 
@@ -284,11 +284,7 @@ def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:
     x = np.asarray(matrix, dtype=np.float64)
     if np.isnan(x).any() or np.isinf(x).any():
         raise ValidationError("prepared matrices must be fully finite")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(channel_names))
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, channel_names, (map(repr, row.tolist()) for row in x))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -297,14 +293,13 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             names = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise ParseError(f"{path}: empty matrix file") from None
-        try:
             with warnings.catch_warnings():
                 # a header-only file is an empty partition, not a mistake
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 matrix = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
+        except StopIteration:
+            raise ParseError(f"{path}: empty matrix file") from None
+        except (csv.Error, ValueError) as exc:
             raise ParseError(
                 f"{path}: {exc} (rows counted from 0 after the header)"
             ) from None
@@ -317,42 +312,19 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     return matrix, names
 
 
+SPLIT_PLAN_HEADER = ("row_index", "partition")
+PARTITIONS = ("train", "val", "test")
+
+
 def write_split_plan(plan: SplitPlan, path) -> None:
-    """SplitPlan file: CSV of (row_index, partition)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "partition"])
-        chunks = [
-            (plan.train_indices, "train"),
-            (plan.validation_indices, "val"),
-            (plan.test_indices, "test"),
-        ]
-        merged = sorted(
-            (int(i), part) for rows, part in chunks for i in rows
-        )
-        writer.writerows(merged)
+    """SplitPlan file: CSV of (row_index, partition), in row order."""
+    parts = (plan.train_indices, plan.validation_indices, plan.test_indices)
+    write_table(path, SPLIT_PLAN_HEADER, sorted(
+        (int(i), part) for rows, part in zip(parts, PARTITIONS) for i in rows))
 
 
 def read_split_plan(path) -> SplitPlan:
-    buckets: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["row_index", "partition"]:
-            raise ParseError(f"{path}: split plan header must be 'row_index,partition'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                part = row[1].strip()
-                buckets[part].append(int(row[0]))
-            except (IndexError, KeyError, ValueError):
-                raise ParseError(
-                    f"{path}: row {reader.line_num}: expected "
-                    f"'row_index,train|val|test', got {row!r}"
-                ) from None
-    return SplitPlan(
-        np.array(buckets["train"], dtype=np.int64),
-        np.array(buckets["val"], dtype=np.int64),
-        np.array(buckets["test"], dtype=np.int64),
-    )
+    buckets = {part: [] for part in PARTITIONS}
+    read_table(path, lambda row: buckets[row[1].strip()].append(int(row[0])),
+               SPLIT_PLAN_HEADER)
+    return SplitPlan(*(np.array(buckets[part], dtype=np.int64) for part in PARTITIONS))

@@ -10,11 +10,11 @@ scheduler watch one validation stream across the switch.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import write_table
 from .detector import reconstruct
 from .errors import LeakageError, NumericError, ValidationError
 from .neuralnet import Adam, EarlyStopping, ReduceLROnPlateau
@@ -44,12 +44,14 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "es_patience": self.es_patience,
             "plateau_patience": self.plateau_patience,
-            "plateau_factor": self.plateau_factor,
             "warmup_epochs": self.warmup_epochs,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
+        if not 0.0 < self.plateau_factor < 1.0:
+            raise ValidationError(
+                f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +91,10 @@ class TrainReport:
         return len(self.val_losses)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "learning_rate"])
-            rows = zip(self.train_losses, self.val_losses, self.learning_rates)
-            for epoch, (tr, va, lr) in enumerate(rows, start=1):
-                writer.writerow([epoch, repr(tr), repr(va), repr(lr)])
+        rows = zip(self.train_losses, self.val_losses, self.learning_rates)
+        write_table(path, ["epoch", "train_loss", "val_loss", "learning_rate"],
+                    ([epoch, repr(tr), repr(va), repr(lr)]
+                     for epoch, (tr, va, lr) in enumerate(rows, start=1)))
 
 
 def mse_loss(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:

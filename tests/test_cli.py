@@ -21,6 +21,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# byte corruptions of a pipeline file: not UTF-8, a NUL, a field longer than
+# the csv module's limit, and a quote that is never closed
+CORRUPT_BYTES = {
+    "not-utf8": b"\xff\xfe",
+    "nul": b"\x00",
+    "huge-field": b'"' + b"x" * 200_000 + b'",',
+    "stray-quote": b'"',
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """A small but complete synthetic run: synth + prepare + dense train at
@@ -127,21 +137,55 @@ class TestExitCodes:
         assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert "scores.csv: row 4:" in capsys.readouterr().err
 
+    # a str replaces the whole file; bytes are spliced in after its first line
     @pytest.mark.parametrize("name, text", (
         ("scaler.json", "{"),
         ("scaler.json", '{"min": [0.0]}'),
         ("split_plan.csv", "row_index,partition\nx,train\n"),
         ("split_plan.csv", "row_index,partition\n0\n"),
         ("test.csv", "a,b,c,d,e,f,g,h\n"),
+        ("labels.csv", "row_index,timestamp,label\n0,2024-01-01 00:00,0,1\n"),
+        ("labels.csv", "row,timestamp,label\n0,2024-01-01 00:00,0\n"),
+        ("scores.csv", "index,timestamp,score\n"),
+        *(pytest.param(name, blob, id=f"{name}-{label}")
+          for name in ("labels.csv", "split_plan.csv", "test.csv", "scores.csv",
+                       "scaler.json", "model.json")
+          for label, blob in CORRUPT_BYTES.items()),
     ))
     def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
                                                   capsys, name, text):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
-        (out / name).write_text(text)
+        stage = "eval" if name == "scores.csv" else "detect"
+        if stage == "eval":
+            assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_OK
+        path = out / name
+        if isinstance(text, bytes):
+            data = path.read_bytes()
+            cut = data.index(b"\n") + 1
+            path.write_bytes(data[:cut] + text + data[cut:])
+        else:
+            path.write_text(text)
         capsys.readouterr()
-        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, flags", (
+        pytest.param("synth", ["--seed", -1], id="synth-seed"),
+        pytest.param("prepare", ["--seed", -1], id="prepare-seed"),
+        pytest.param("train", ["--seed", -1], id="dense-train-seed"),
+        pytest.param("train", ["--seed", -1, "--pipeline.architecture", "lstm_ae"],
+                     id="lstm-train-seed"),
+        pytest.param("train", ["--train.plateau_factor", 2], id="plateau-factor-2"),
+        pytest.param("train", ["--train.plateau_factor", 0], id="plateau-factor-0"),
+    ))
+    def test_bad_config_value_is_validation_error(self, pipeline_dir, tmp_path,
+                                                  stage, flags):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert run([stage, "--out-dir", out, "--paths.sensor_csv",
+                    out / "sensor.csv", "--train.max_epochs", 1] + flags) \
+            == EXIT_VALIDATION
 
 
 class TestPrepare:
@@ -314,6 +358,15 @@ GOLDEN = {
     "mahalanobis": {"model.json": "c6c33f8d00c6be3a", "scores.csv": "1b7548dffe2088d2",
                     "metrics.csv": "d5b54cbc241c723b"},
 }
+# the same for every CSV table writer: synth and prepare (the `gappy_dir`
+# files), then train -> export-latent of the mse_point run; recorded before
+# the writers moved onto one table codec
+GOLDEN_TABLES = {
+    "sensor.csv": "8612970063b1e47d", "faults.csv": "f9c295199bd8cc5d",
+    "labels.csv": "38f7fe68ab46984a", "split_plan.csv": "2867250c04d73dc0",
+    "train.csv": "e5393fe7bdf6a2af", "train_report.csv": "782e9b627efba25a",
+    "latent.csv": "c117219f820728f4",
+}
 GOLDEN_FLAGS = {
     "mse_point": ["--train.max_epochs", 2],
     "mse_window": ["--pipeline.architecture", "lstm_ae", "--train.max_epochs", 2],
@@ -352,6 +405,12 @@ class TestGoldenOutputs:
         assert json.loads((out / "model.json").read_text())["threshold"]["kind"] \
             == kind
         assert {name: digest(out / name) for name in GOLDEN[kind]} == GOLDEN[kind]
+
+    def test_tables_match_recorded_digests(self, gappy_dir, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train", "export-latent"), GOLDEN_FLAGS["mse_point"])
+        assert {name: digest(out / name) for name in GOLDEN_TABLES} == GOLDEN_TABLES
 
 
 class TestModelFileDecidesScoreKind:

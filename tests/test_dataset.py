@@ -8,7 +8,9 @@ from aedetect.dataset import (
     label_samples,
     load_fault_intervals,
     load_sensor_csv,
+    read_table,
     write_sensor_csv,
+    write_table,
 )
 from aedetect.errors import (
     DuplicateTimestampError,
@@ -144,6 +146,15 @@ class TestFaultIntervals:
         with pytest.raises(ParseError):
             load_fault_intervals(path)
 
+    @pytest.mark.parametrize("text", (
+        "start,duration_minutes,note\n2018-07-08 00:11,42,x\n",
+        "start,duration_minutes\n2018-07-08 00:11,42,x\n",
+    ))
+    def test_extra_field_rejected(self, tmp_path, text):
+        path = write(tmp_path, text, "faults.csv")
+        with pytest.raises(ParseError, match="faults.csv"):
+            load_fault_intervals(path)
+
     def test_intervals_sorted(self):
         schedule = FaultSchedule((
             (np.datetime64("2024-01-02T00:00", "m"), 5),
@@ -151,6 +162,55 @@ class TestFaultIntervals:
         ))
         starts = [s for s, _ in schedule.intervals]
         assert starts == sorted(starts)
+
+
+# byte corruptions spliced in after a file's header line: not UTF-8, a NUL,
+# a field longer than the csv module's limit, and a quote that is never closed
+CORRUPT_BYTES = {
+    "not-utf8": b"\xff\xfe",
+    "nul": b"\x00",
+    "huge-field": b'"' + b"x" * 200_000 + b'",',
+    "stray-quote": b'"',
+}
+
+
+class TestTable:
+    def test_round_trip_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["k", "v"], (("a", 0.1), ("b,c", repr(2.0))))
+        assert path.read_bytes() == b'k,v\r\na,0.1\r\n"b,c",2.0\r\n'
+        path.write_bytes(path.read_bytes() + b"\r\n\r\nd,3\r\n")
+        header, rows = read_table(path, lambda row: (row[0], float(row[1])),
+                                  ("k", "v"))
+        assert header == ["k", "v"]
+        assert rows == [("a", 0.1), ("b,c", 2.0), ("d", 3.0)]
+
+    @pytest.mark.parametrize("text, row", (
+        ("", 1),
+        ("\nk,v\n", 1),
+        ("k,w\n", 1),
+        ("k,v\na,1\nb\n", 3),
+        ("k,v\na,1\nb,2,3\n", 3),
+        ("k,v\na,x\n", 2),
+    ))
+    def test_bad_table_names_file_and_row(self, tmp_path, text, row):
+        path = write(tmp_path, text, "t.csv")
+        with pytest.raises(ParseError, match=f"t.csv: row {row}:"):
+            read_table(path, lambda r: float(r[1]), ("k", "v"))
+
+    @pytest.mark.parametrize("splice", sorted(CORRUPT_BYTES))
+    @pytest.mark.parametrize("name, load, text", (
+        ("sensor.csv", load_sensor_csv,
+         "timestamp,a\n2024-01-01 00:00,1\n2024-01-01 00:01,2\n"),
+        ("faults.csv", load_fault_intervals,
+         "start,duration_minutes\n2024-01-01 00:00,5\n"),
+    ), ids=("sensor", "faults"))
+    def test_corrupt_bytes_are_parse_error(self, tmp_path, name, load, text, splice):
+        head, body = text.encode().split(b"\n", 1)
+        path = tmp_path / name
+        path.write_bytes(head + b"\n" + CORRUPT_BYTES[splice] + body)
+        with pytest.raises(ParseError, match=name):
+            load(path)
 
 
 class TestLabelSamples:

@@ -323,3 +323,8 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValidationError):
             TrainConfig(max_epochs=-1)
+
+    @pytest.mark.parametrize("factor", (0.0, 1.0, 2.0, -0.5))
+    def test_rejects_plateau_factor_outside_unit_interval(self, factor):
+        with pytest.raises(ValidationError):
+            TrainConfig(plateau_factor=factor)
