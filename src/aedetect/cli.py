@@ -206,19 +206,21 @@ LABELS_HEADER = ("row_index", "timestamp", "label")
 SCORES_HEADER = ("index", "timestamp", "score", "flagged")
 
 
-def _read_labels(path) -> tuple[np.ndarray, list[str]]:
-    """Returns (flags over all rows, timestamp strings per row)."""
-    _, rows = dataset.read_table(
-        path, lambda row: (int(row[0]), row[1], bool(int(row[2]))), LABELS_HEADER
-    )
-    rows.sort()
-    n = rows[-1][0] + 1 if rows else 0
-    flags = np.zeros(n, dtype=bool)
-    stamps = [""] * n
-    for i, ts, flag in rows:
-        flags[i] = flag
-        stamps[i] = ts
-    return flags, stamps
+def _read_labels(path) -> tuple[np.ndarray, np.ndarray]:
+    """(fault flag, datetime64[m] timestamp) of every row of the log. Row k
+    of the file must carry row_index k, and a stamp that is not a timestamp
+    raises ParseError naming its row."""
+    texts = []
+
+    def parse(row):
+        if int(row[0]) != len(texts):
+            raise ValueError(f"row_index must be {len(texts)}, got {row[0].strip()!r}")
+        texts.append(row[1])
+        return bool(int(row[2]))
+
+    _, flags = dataset.read_table(path, parse, LABELS_HEADER)
+    return (np.array(flags, dtype=bool),
+            dataset.stamp_column(path, texts, 1, LABELS_HEADER))
 
 
 def cmd_prepare(config: RunConfig) -> int:
@@ -250,8 +252,8 @@ def cmd_prepare(config: RunConfig) -> int:
                                 out / "test.csv")
     preprocess.write_split_plan(plan, out / "split_plan.csv")
     dataset.write_table(out / "labels.csv", LABELS_HEADER, (
-        [i, dataset.format_timestamp(ts), int(flag)]
-        for i, (ts, flag) in enumerate(zip(log.timestamps, labels))))
+        [i, stamp, int(flag)] for i, (stamp, flag)
+        in enumerate(zip(dataset.format_timestamps(log.timestamps), labels))))
     with open(out / "scaler.json", "w", encoding="utf-8") as fh:
         json.dump(scaler.to_doc(), fh, indent=1)
         fh.write("\n")
@@ -287,7 +289,7 @@ class Prepared:
     val: np.ndarray
     test: np.ndarray
     labels: np.ndarray
-    stamps: list[str]
+    stamps: np.ndarray  # datetime64[m]
     scaler: preprocess.ScalerParams
 
     def windows(self, rows: np.ndarray, length: int, stride: int):
@@ -329,8 +331,9 @@ def _load_prepared(config: RunConfig) -> Prepared:
 
 def _pool_windows(data: Prepared, model: LstmAutoencoder, recipe: WindowRecipe):
     """Healthy training-pool windows of the model's length at the recipe's
-    stride, split by its seeded window-level validation sample: (train
-    windows, labels, end rows, validation windows, labels)."""
+    stride, their labels and end rows, and the mask of the recipe's seeded
+    window-level validation sample. Callers copy out the parts they use and
+    drop the pool's windows."""
     windows, wlabels, ends = data.windows(data.plan.pool_indices,
                                           model.window_length, recipe.stride)
     if windows.shape[0] < 2:
@@ -338,10 +341,9 @@ def _pool_windows(data: Prepared, model: LstmAutoencoder, recipe: WindowRecipe):
     rng = np.random.default_rng(recipe.seed)
     n_val = int(recipe.validation_ratio * windows.shape[0])
     val_pick = np.sort(rng.choice(windows.shape[0], size=n_val, replace=False))
-    mask = np.zeros(windows.shape[0], dtype=bool)
-    mask[val_pick] = True
-    return (windows[~mask], wlabels[~mask], ends[~mask],
-            windows[mask], wlabels[mask])
+    val = np.zeros(windows.shape[0], dtype=bool)
+    val[val_pick] = True
+    return windows, wlabels, ends, val
 
 
 def _test_items(data: Prepared, bundle: ModelBundle):
@@ -401,8 +403,10 @@ def cmd_train(config: RunConfig) -> int:
                                 seed=config.seed)
         recipe = WindowRecipe(config.window_stride, config.seed,
                               config.validation_ratio)
-        train_items, train_labels, _ends, val_items, val_labels = _pool_windows(
-            data, model, recipe)
+        windows, wlabels, _ends, val = _pool_windows(data, model, recipe)
+        train_items, train_labels = windows[~val], wlabels[~val]
+        val_items, val_labels = windows[val], wlabels[val]
+        del windows
     trained, report, cov = training.train(
         model, train_items, val_items, config.train_config(),
         train_labels=train_labels, val_labels=val_labels,
@@ -424,8 +428,10 @@ def cmd_threshold(config: RunConfig) -> int:
     bundle = _load_bundle(config, thresholded=False)
     data = _load_prepared(config)
     if isinstance(bundle.model, LstmAutoencoder):
-        items, _labels, indices, _val, _val_labels = _pool_windows(
-            data, bundle.model, bundle.window_recipe)
+        windows, _labels, ends, val = _pool_windows(data, bundle.model,
+                                                    bundle.window_recipe)
+        items, indices = windows[~val], ends[~val]
+        del windows
     else:
         items, indices = data.train, data.plan.train_indices
     scores = _score(bundle, items, indices, from_training=True)
@@ -445,9 +451,10 @@ def cmd_detect(config: RunConfig) -> int:
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
+    stamps = dataset.format_timestamps(data.stamps[series.indices])
     dataset.write_table(out / "scores.csv", SCORES_HEADER, (
-        [int(i), data.stamps[i], repr(float(score)), int(flag)]
-        for i, score, flag in zip(series.indices, series.scores, flags)))
+        [int(i), stamp, repr(float(score)), int(flag)] for i, stamp, score, flag
+        in zip(series.indices, stamps, series.scores, flags)))
     print(f"scored {len(series)} test items ({series.kind}); "
           f"{int(flags.sum())} flagged")
     return EXIT_OK
@@ -506,8 +513,8 @@ def cmd_export_latent(config: RunConfig) -> int:
     dataset.write_table(
         out / "latent.csv",
         ["index", "timestamp"] + [f"z{k + 1}" for k in range(latent.shape[1])],
-        ([int(i), data.stamps[i]] + [repr(float(v)) for v in row]
-         for i, row in zip(indices, latent)))
+        ([int(i), stamp] + [repr(float(v)) for v in row] for i, stamp, row
+         in zip(indices, dataset.format_timestamps(data.stamps[indices]), latent)))
     print(f"exported {latent.shape[0]} latent vectors "
           f"(width {latent.shape[1]}) to {out / 'latent.csv'}")
     return EXIT_OK

@@ -4,8 +4,9 @@ every pipeline file goes through.
 File formats:
 - every CSV (`write_table`/`read_table`): UTF-8, a header row, and every
   non-empty row with the header's field count.
-- sensor CSV: column 1 an ISO timestamp "YYYY-MM-DD HH:MM", remaining
-  columns numeric; empty fields or "NaN" mark missing cells.
+- sensor CSV: column 1 a timestamp "YYYY-MM-DD HH:MM" (any form that
+  strptime reads with that format, e.g. "2024-1-1 0:5", is accepted too),
+  remaining columns numeric; empty fields or "NaN" mark missing cells.
 - fault CSV: header "start,duration_minutes".
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -26,8 +28,15 @@ from .errors import (
 )
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
-MISSING_MARKERS = ("", "NaN")
+# A canonical stamp, "YYYY-MM-DD HH:MM" in ASCII digits with a year other
+# than 0000, and the newline that joins it to the next; "0" marks a digit.
+# numpy converts canonical stamps exactly as strptime with TIMESTAMP_FORMAT
+# reads them, and rejects an impossible date or time of this shape, as
+# strptime does (numpy would take year 0000).
+_CANONICAL_STAMP = np.frombuffer(b"0000-00-00 00:00\n", np.uint8)
+_STAMP_DIGIT = _CANONICAL_STAMP == ord("0")
 FAULT_HEADER = ("start", "duration_minutes")
+FORMAT_BLOCK = 4096
 
 ONE_MINUTE = np.timedelta64(1, "m")
 
@@ -64,9 +73,26 @@ def read_table(path, parse, header=None) -> tuple[list[str], list]:
                         raise ValueError(f"expected {width} fields, got {len(row)}")
                     rows.append(parse(row))
         except (csv.Error, LookupError, ValueError) as exc:
+            row = reader.line_num or 1
+            if isinstance(exc, UnicodeDecodeError):
+                # the text layer decodes ahead of the csv reader
+                row, exc = _undecodable_line(path)
             what = f"unknown value {exc}" if isinstance(exc, KeyError) else exc
-            raise ParseError(f"{path}: row {reader.line_num or 1}: {what}") from None
+            raise ParseError(f"{path}: row {row}: {what}") from None
     return found, rows
+
+
+def _undecodable_line(path) -> tuple[int, UnicodeDecodeError]:
+    """(line number, decode error) of the first line of a file that is not
+    UTF-8; the file is read one line at a time, and only after decoding it
+    failed, so there is such a line."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return number, exc
+    raise AssertionError(f"{path} decodes line by line")
 
 
 def _parse_timestamp(text: str) -> np.datetime64:
@@ -74,8 +100,52 @@ def _parse_timestamp(text: str) -> np.datetime64:
     return np.datetime64(dt.strftime("%Y-%m-%dT%H:%M"), "m")
 
 
+def _all_canonical(texts: list[str]) -> bool:
+    """Whether every text is a canonical stamp, checked at once on the bytes
+    of all texts joined by newlines: exactly _CANONICAL_STAMP.size bytes per
+    text, each block of the canonical shape."""
+    blob = ("\n".join(texts) + "\n").encode("utf-8")
+    if len(blob) != _CANONICAL_STAMP.size * len(texts):
+        return False
+    stamps = np.frombuffer(blob, np.uint8).reshape(-1, _CANONICAL_STAMP.size)
+    digits = stamps[:, _STAMP_DIGIT]
+    return bool((digits - ord("0") <= 9).all()  # uint8: a byte below "0" wraps
+                and (stamps[:, ~_STAMP_DIGIT] == _CANONICAL_STAMP[~_STAMP_DIGIT]).all()
+                and (digits[:, :4] != ord("0")).any(axis=1).all())
+
+
+def _parse_timestamps(texts: list[str]) -> np.ndarray:
+    """datetime64[m] of each stamp text, equal to what `_parse_timestamp`
+    gives it: one numpy conversion when every text is a canonical stamp,
+    else strptime on each text. ValueError when some text is not a stamp;
+    the caller names its row."""
+    if not _all_canonical(texts):
+        texts = [str(_parse_timestamp(t)) for t in texts]
+    return np.array(texts, dtype="datetime64[m]")
+
+
+def stamp_column(path, texts: list[str], column: int, header=None) -> np.ndarray:
+    """`_parse_timestamps(texts)`, where `texts` is column `column` of the CSV
+    table at `path` in row order; a text that is not a stamp raises
+    ParseError naming the file and its row."""
+    try:
+        return _parse_timestamps(texts)
+    except ValueError:
+        read_table(path, lambda row: _parse_timestamp(row[column]), header)
+        raise
+
+
 def format_timestamp(ts: np.datetime64) -> str:
     return str(ts.astype("datetime64[m]")).replace("T", " ")
+
+
+def format_timestamps(ts: np.ndarray):
+    """`format_timestamp` of each stamp in turn. numpy formats a block of
+    FORMAT_BLOCK stamps at a time, so memory does not grow with the log."""
+    for start in range(0, ts.size, FORMAT_BLOCK):
+        block = np.datetime_as_string(ts[start:start + FORMAT_BLOCK], unit="m")
+        for text in block.tolist():
+            yield text.replace("T", " ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,36 +222,46 @@ class FaultSchedule:
         object.__setattr__(self, "intervals", tuple(normalized))
 
 
+def _check_sensor_row(row) -> None:
+    """The checks `load_sensor_csv` makes on whole columns, made on one row;
+    raises the message of the row's first bad stamp or cell."""
+    _parse_timestamp(row[0])
+    for cell in row[1:]:
+        cell = cell.strip()
+        if cell and math.isinf(float(cell)):
+            raise ValueError(f"non-finite value {cell!r}")
+
+
 def load_sensor_csv(path) -> SensorLog:
     """Load a sensor CSV into a SensorLog.
 
     Rows are sorted by timestamp before the uniform-grid check; duplicate
-    timestamps and gaps other than one minute are rejected. Cells equal to
-    one of MISSING_MARKERS become NaN.
+    timestamps and gaps other than one minute are rejected. Empty cells
+    become NaN. A bad stamp or cell raises ParseError naming its row.
     """
-    timestamps = []
+    stamps, cells = [], array("d")
 
     def parse(row):
-        timestamps.append(_parse_timestamp(row[0]))
-        parsed = np.empty(len(row) - 1, dtype=np.float64)
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell in MISSING_MARKERS:
-                parsed[j] = np.nan
-            else:
-                value = float(cell)
-                if math.isinf(value):
-                    raise ValueError(f"non-finite value {cell!r}")
-                parsed[j] = value
-        return parsed
+        stamps.append(row[0])
+        cells.fromlist([float(c) if (c := cell.strip()) else math.nan
+                        for cell in row[1:]])
 
-    header, rows = read_table(path, parse)
+    try:
+        header, _ = read_table(path, parse)
+        ts = _parse_timestamps(stamps)
+        values = np.frombuffer(cells, dtype=np.float64)
+        if np.isinf(values).any():
+            raise ValueError("non-finite value")
+    except ValueError:
+        # the columns are checked whole, so find the first bad row, and its
+        # message, by checking the file again one row at a time
+        read_table(path, _check_sensor_row)
+        raise
     if len(header) < 2:
         raise ParseError(f"{path}: header must name a timestamp and a channel")
-    if not rows:
+    if not stamps:
         raise ParseError(f"{path}: file has a header but no data rows")
-    ts = np.array(timestamps, dtype="datetime64[m]")
-    values = np.vstack(rows)
+    values = values.reshape(len(stamps), len(header) - 1)
     order = np.argsort(ts, kind="stable")
     return SensorLog(ts[order], tuple(header[1:]), values[order])
 
@@ -189,9 +269,8 @@ def load_sensor_csv(path) -> SensorLog:
 def write_sensor_csv(log: SensorLog, path) -> None:
     """Write a SensorLog back to CSV; finite cells round-trip bit-exactly."""
     write_table(path, ("timestamp",) + log.channel_names, (
-        [format_timestamp(ts)]
-        + ["" if math.isnan(x) else repr(x) for x in row.tolist()]
-        for ts, row in zip(log.timestamps, log.values)))
+        [stamp] + ["" if math.isnan(x) else repr(x) for x in row.tolist()]
+        for stamp, row in zip(format_timestamps(log.timestamps), log.values)))
 
 
 def load_fault_intervals(path) -> FaultSchedule:

@@ -5,8 +5,9 @@ the raw residual under the frozen training covariance. Thresholds are linear
 interpolation percentiles of healthy training scores; flags use strict >.
 
 Every score, the latent export and the residual covariance run the model
-through `reconstruct`: a no-cache pass over balanced chunks of at most
-SCORE_CHUNK items, so scoring memory does not grow with the log's length.
+in no-cache passes over balanced chunks of at most SCORE_CHUNK items; a
+score reduces each chunk before the next, so scoring memory does not grow
+with the log's length.
 """
 
 from __future__ import annotations
@@ -76,20 +77,31 @@ def _default_indices(n: int, indices) -> np.ndarray:
     return indices
 
 
+def _chunks(x: np.ndarray) -> list[np.ndarray]:
+    """Balanced chunks (`np.array_split`) of at most SCORE_CHUNK items, so
+    none but a lone chunk is shorter than SCORE_CHUNK / 2 rows: BLAS rounds
+    products of one or a few rows differently, and a short fixed-stride tail
+    would change scores."""
+    return np.array_split(x, max(1, math.ceil(x.shape[0] / SCORE_CHUNK)))
+
+
 def reconstruct(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(reconstruction, latent) of every item, equal bit for bit to
-    `model.forward(x)`, from no-cache passes over at most SCORE_CHUNK items.
-
-    The chunks are balanced (`np.array_split`), so none but a lone chunk is
-    shorter than SCORE_CHUNK / 2 rows: BLAS rounds products of one or a few
-    rows differently, and a short fixed-stride tail would change scores.
-    """
+    `model.forward(x)`, from no-cache passes over `_chunks(x)`."""
     x = np.asarray(x, dtype=np.float64)
-    chunks = np.array_split(x, max(1, math.ceil(x.shape[0] / SCORE_CHUNK)))
+    chunks = _chunks(x)
     if len(chunks) == 1:
         return model.forward(x, cache=False)
     parts = [model.forward(chunk, cache=False) for chunk in chunks]
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
+
+
+def _chunk_scores(model, x: np.ndarray, score) -> np.ndarray:
+    """`score(residual)` of each of `_chunks(x)` in turn, joined: a chunk's
+    reconstruction is reduced to its scores before the next pass, so no
+    full-size reconstruction or residual exists."""
+    return np.concatenate([score(model.forward(chunk, cache=False)[0] - chunk)
+                           for chunk in _chunks(x)])
 
 
 def score_pointwise_mse(
@@ -97,9 +109,7 @@ def score_pointwise_mse(
 ) -> ScoreSeries:
     """Per-row mean squared residual of the dense reconstruction."""
     x = np.asarray(x, dtype=np.float64)
-    xhat, _ = reconstruct(model, x)
-    r = xhat - x
-    scores = np.mean(r * r, axis=1)
+    scores = _chunk_scores(model, x, lambda r: np.mean(r * r, axis=1))
     return ScoreSeries(scores, _default_indices(x.shape[0], indices),
                        "mse_point", from_training)
 
@@ -109,9 +119,7 @@ def score_window_mse(
 ) -> ScoreSeries:
     """Per-window mean squared residual over all T*d entries."""
     w = np.asarray(windows, dtype=np.float64)
-    what, _ = reconstruct(model, w)
-    r = what - w
-    scores = np.mean(r * r, axis=(1, 2))
+    scores = _chunk_scores(model, w, lambda r: np.mean(r * r, axis=(1, 2)))
     return ScoreSeries(scores, _default_indices(w.shape[0], indices),
                        "mse_window", from_training)
 
@@ -125,11 +133,13 @@ def score_mahalanobis(
         raise ValidationError(
             f"input dimension {x.shape[1]} != covariance dimension {cov.d}"
         )
-    xhat, _ = reconstruct(model, x)
-    r = xhat - x
-    quad = np.einsum("ij,jk,ik->i", r, cov.sigma_inv, r)
-    # rounding can push the quadratic form infinitesimally below zero
-    scores = np.sqrt(np.maximum(quad, 0.0))
+
+    def distance(r):
+        quad = np.einsum("ij,jk,ik->i", r, cov.sigma_inv, r)
+        # rounding can push the quadratic form infinitesimally below zero
+        return np.sqrt(np.maximum(quad, 0.0))
+
+    scores = _chunk_scores(model, x, distance)
     return ScoreSeries(scores, _default_indices(x.shape[0], indices),
                        "mahalanobis", from_training)
 

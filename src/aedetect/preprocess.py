@@ -116,12 +116,11 @@ def _impute_column(col: np.ndarray) -> np.ndarray:
     if obs.size == 0:
         raise ValidationError("cannot impute a fully-missing channel; drop it first")
     # interior gaps: linear interpolation between nearest observed neighbours
-    for k in range(obs.size - 1):
-        i0, i1 = obs[k], obs[k + 1]
-        if i1 > i0 + 1:
-            idx = np.arange(i0 + 1, i1)
-            frac = (idx - i0) / (i1 - i0)
-            out[idx] = col[i0] + (col[i1] - col[i0]) * frac
+    gaps = np.flatnonzero(np.isnan(col))
+    idx = gaps[(gaps > obs[0]) & (gaps < obs[-1])]
+    after = np.searchsorted(obs, idx)
+    i0, i1 = obs[after - 1], obs[after]
+    out[idx] = col[i0] + (col[i1] - col[i0]) * ((idx - i0) / (i1 - i0))
     out[: obs[0]] = col[obs[0]]  # backward fill of the leading run
     out[obs[-1] + 1 :] = col[obs[-1]]  # forward fill of the trailing run
     return out

@@ -147,6 +147,8 @@ class TestExitCodes:
         ("labels.csv", "row_index,timestamp,label\n0,2024-01-01 00:00,0,1\n"),
         ("labels.csv", "row,timestamp,label\n0,2024-01-01 00:00,0\n"),
         ("scores.csv", "index,timestamp,score\n"),
+        ("labels.csv", "row_index,timestamp,label\n0,not a time,0\n"),
+        ("labels.csv", "row_index,timestamp,label\n1,2024-01-01 00:00,0\n"),
         *(pytest.param(name, blob, id=f"{name}-{label}")
           for name in ("labels.csv", "split_plan.csv", "test.csv", "scores.csv",
                        "scaler.json", "model.json")

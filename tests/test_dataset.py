@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from aedetect.dataset import (
     load_fault_intervals,
     load_sensor_csv,
     read_table,
+    stamp_column,
     write_sensor_csv,
     write_table,
 )
@@ -100,6 +103,59 @@ class TestLoadSensorCsv:
         path = write(tmp_path, "timestamp,a\n2024-01-01 00:00,inf\n")
         with pytest.raises(ParseError):
             load_sensor_csv(path)
+
+
+NAN = float("nan")
+H = "timestamp,a,b\n"
+# what the row-at-a-time reader (strptime and float() per row) gave for each
+# text: the values in timestamp order, or the error after the file name
+READER_CASES = {
+    "unpadded-stamps": (H + "2024-1-1 0:0,1,2\n2024-1-1 0:1,3,4\n",
+                        [[1.0, 2.0], [3.0, 4.0]]),
+    "whitespace": (H + "  2024-01-01 00:00 , 1.5 ,\t2.5\n2024-01-01 00:01,3e0 ,  -4\n",
+                   [[1.5, 2.5], [3.0, -4.0]]),
+    "missing-cells": (H + "2024-01-01 00:00,NaN,nan\n2024-01-01 00:01,, \n"
+                      "2024-01-01 00:02,1,2\n", [[NAN, NAN], [NAN, NAN], [1.0, 2.0]]),
+    "quoted-cells": (H + '"2024-01-01 00:00","1.5",2\n2024-01-01 00:01,"",4\n',
+                     [[1.5, 2.0], [NAN, 4.0]]),
+    "unsorted-rows": (H + "2024-01-01 00:02,3,3\n2024-01-01 00:00,1,1\n"
+                      "2024-01-01 00:01,2,2\n", [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+    "unit-separator": (H + "2024-01-01 00:00,\x1c1.5\x1c,2\n", [[1.5, 2.0]]),
+    "blank-line-before-bad-row": (H + "2024-01-01 00:00,1,2\n\n2024-01-01 00:01,x,2\n",
+                                  "row 4: could not convert string to float: 'x'"),
+    "inf": (H + "2024-01-01 00:00,1,2\n2024-01-01 00:01,inf,2\n",
+            "row 3: non-finite value 'inf'"),
+    "minus-infinity": (H + "2024-01-01 00:00,1,2\n2024-01-01 00:01,1,-Infinity\n",
+                       "row 3: non-finite value '-Infinity'"),
+    "feb-30": (H + "2024-02-29 23:59,1,2\n2024-02-30 00:00,1,2\n",
+               "row 3: day is out of range for month"),
+    "minute-60": (H + "2024-01-01 23:59,1,2\n2024-01-01 23:60,1,2\n",
+                  "row 3: unconverted data remains: 0"),
+    "hour-24": (H + "2024-01-01 24:00,1,2\n", "row 2: time data '2024-01-01 24:00' "
+                "does not match format '%Y-%m-%d %H:%M'"),
+    "year-0": (H + "0000-01-01 00:00,1,2\n", "row 2: year 0 is out of range"),
+    "bad-stamp-before-bad-number": (
+        H + "2024-01-01 00:00,1,2\n2024-02-30 00:00,1,2\n2024-01-01 00:02,x,2\n",
+        "row 3: day is out of range for month"),
+    "inf-before-bad-number": (
+        H + "2024-01-01 00:00,1,2\n2024-01-01 00:01,1e999,2\n2024-01-01 00:02,x,2\n",
+        "row 3: non-finite value '1e999'"),
+}
+
+
+class TestReaderParity:
+    @pytest.mark.parametrize("text, expected", READER_CASES.values(),
+                             ids=READER_CASES.keys())
+    def test_same_result_or_error_as_row_at_a_time(self, tmp_path, text, expected):
+        path = write(tmp_path, text)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=re.escape(f"log.csv: {expected}")):
+                load_sensor_csv(path)
+            return
+        log = load_sensor_csv(path)
+        assert np.array_equal(log.timestamps,
+                              minute_range("2024-01-01T00:00", len(expected)))
+        assert np.array_equal(log.values, np.array(expected), equal_nan=True)
 
 
 class TestRoundTrip:
@@ -197,6 +253,27 @@ class TestTable:
         path = write(tmp_path, text, "t.csv")
         with pytest.raises(ParseError, match=f"t.csv: row {row}:"):
             read_table(path, lambda r: float(r[1]), ("k", "v"))
+
+    def test_undecodable_byte_names_its_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_table(path, ("row_index", "timestamp", "label"),
+                    ((i, "2024-01-01 00:00", 0) for i in range(2_500)))
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + b"\xff\xfe" + data[cut:])
+        with pytest.raises(ParseError, match="labels.csv: row 2: 'utf-8' codec can't "
+                                             "decode byte 0xff in position 0"):
+            read_table(path, lambda row: row)
+
+    def test_bad_stamp_in_a_column_names_its_row(self, tmp_path):
+        path = write(tmp_path, "k,t\na,2024-01-01 00:00\n\nb,2024-1-1 0:1\n"
+                               "c,2024-02-30 00:00\n", "t.csv")
+        _, texts = read_table(path, lambda row: row[1])
+        assert np.array_equal(stamp_column(path, texts[:2], 1),
+                              minute_range("2024-01-01T00:00", 2))
+        with pytest.raises(ParseError,
+                           match="t.csv: row 5: day is out of range for month"):
+            stamp_column(path, texts, 1)
 
     @pytest.mark.parametrize("splice", sorted(CORRUPT_BYTES))
     @pytest.mark.parametrize("name, load, text", (

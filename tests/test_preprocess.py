@@ -117,6 +117,18 @@ class TestImputeCascade:
         out = impute_cascade(make_log([[v] for v in col]))
         assert out.values[:, 0].tolist() == impute_oracle(col)
 
+    def test_channels_match_hand_oracle_exactly(self):
+        # gaps at both ends of a channel, a channel with one observed cell,
+        # and a channel with none missing
+        columns = [[np.nan, np.nan, 0.1, np.nan, np.nan, 7.3, -2.0, np.nan, 1e-3,
+                    np.nan],
+                   [np.nan, np.nan, np.nan, -4.25, np.nan, np.nan, np.nan, np.nan,
+                    np.nan, np.nan],
+                   [float(i) / 3 for i in range(10)]]
+        out = impute_cascade(make_log(np.array(columns).T))
+        for c, col in enumerate(columns):
+            assert out.values[:, c].tolist() == impute_oracle(col)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_idempotent_and_dense(self, data):
