@@ -277,7 +277,14 @@ class TimeDistributedDense:
 
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction (Kingma & Ba, 2015); updates parameter arrays
+    in place.
+
+    Both moments are flat vectors over all parameters, so a step is one
+    elementwise pass (a per-array loop pays numpy's call overhead 10+ times
+    per array). Elementwise IEEE arithmetic does not depend on layout, so
+    every weight rounds exactly as in that loop.
+    """
 
     def __init__(self, params: list[np.ndarray], learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -287,24 +294,40 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._shapes = [p.shape for p in params]
+        bounds = np.cumsum([0] + [p.size for p in params])
+        self.m = np.zeros(bounds[-1])
+        self.v = np.zeros(bounds[-1])
+        # `_flat` holds a step's gradients, then its update; `_updates` are
+        # each parameter's share of it
+        self._flat = np.empty(bounds[-1])
+        self._updates = [self._flat[lo:hi].reshape(p.shape)
+                         for p, lo, hi in zip(params, bounds, bounds[1:])]
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValidationError("gradient list does not match parameter list")
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NumericError("non-finite gradient")
+        if not grads:
+            return
+        shapes = [g.shape for g in grads]
+        if shapes != self._shapes:
+            k = next(k for k, s in enumerate(shapes) if s != self._shapes[k])
+            raise ValidationError(f"gradient {k} has shape {shapes[k]}, "
+                                  f"its parameter {self._shapes[k]}")
+        g = np.concatenate([x.reshape(-1) for x in grads], out=self._flat)
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite gradient")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        np.divide(self.learning_rate * (self.m / bc1),
+                  np.sqrt(self.v / bc2) + self.epsilon, out=self._flat)
+        for p, update in zip(self.params, self._updates):
+            p -= update
 
 
 class EarlyStopping:

@@ -221,16 +221,9 @@ def make_windows(
     n = x.shape[0]
     if flags.shape[0] != n:
         raise ValidationError("labels must align 1:1 with matrix rows")
-    t, stride = spec.length, spec.stride
-    if n < t:
-        raise ValidationError(f"need at least {t} rows to window, got {n}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, t, axis=0)[::stride]
-    windows = np.ascontiguousarray(windows.transpose(0, 2, 1))
-    window_labels = np.lib.stride_tricks.sliding_window_view(flags, t)[::stride].any(
-        axis=1
-    )
-    ends = np.arange(windows.shape[0]) * stride + t - 1
-    return windows, window_labels, ends
+    if n < spec.length:
+        raise ValidationError(f"need at least {spec.length} rows to window, got {n}")
+    return partition_windows(x, flags, np.arange(n), spec)
 
 
 def contiguous_runs(rows: np.ndarray) -> list[np.ndarray]:
@@ -256,26 +249,26 @@ def partition_windows(
     """
     x = np.asarray(matrix, dtype=np.float64)
     flags = np.asarray(labels, dtype=bool)
-    pieces, piece_labels, piece_ends = [], [], []
-    for run in contiguous_runs(rows):
-        if run.size < spec.length:
-            continue
-        w, wl, ends = make_windows(x[run], flags[run], spec)
-        pieces.append(w)
-        piece_labels.append(wl)
-        piece_ends.append(run[0] + ends)
-    if not pieces:
-        d = x.shape[1] if x.ndim == 2 else 0
-        return (
-            np.empty((0, spec.length, d)),
-            np.empty(0, dtype=bool),
-            np.empty(0, dtype=np.int64),
-        )
-    return (
-        np.concatenate(pieces),
-        np.concatenate(piece_labels),
-        np.concatenate(piece_ends),
-    )
+    t, stride = spec.length, spec.stride
+    # (first row, row count) of each run long enough for a window; the output
+    # is sized up front and filled run by run, so no run's windows are copied
+    # twice
+    runs = [(int(run[0]), run.size) for run in contiguous_runs(rows) if run.size >= t]
+    counts = [(size - t) // stride + 1 for _, size in runs]
+    total = sum(counts)
+    windows = np.empty((total, t, x.shape[1] if x.ndim == 2 else 0))
+    window_labels = np.empty(total, dtype=bool)
+    ends = np.empty(total, dtype=np.int64)
+    lo = 0
+    for (first, size), count in zip(runs, counts):
+        block, out = slice(first, first + size), slice(lo, lo + count)
+        view = np.lib.stride_tricks.sliding_window_view(x[block], t, axis=0)
+        windows[out] = view[::stride].transpose(0, 2, 1)
+        window_labels[out] = np.lib.stride_tricks.sliding_window_view(
+            flags[block], t)[::stride].any(axis=1)
+        ends[out] = np.arange(first + t - 1, first + size, stride)
+        lo += count
+    return windows, window_labels, ends
 
 
 def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:

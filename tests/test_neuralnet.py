@@ -242,6 +242,71 @@ class TestAdam:
         with pytest.raises(NumericError):
             opt.step([np.array([np.nan, 0.0])])
 
+    @pytest.mark.parametrize("grad_shape", [(1,), (5, 1)])
+    def test_gradient_shape_must_match_parameter(self, grad_shape):
+        # a (1,) gradient would broadcast over all five weights, and a (5, 1)
+        # one has the right number of floats in the wrong shape
+        p = np.arange(5.0)
+        opt = Adam([np.zeros(3), p], learning_rate=0.01)
+        with pytest.raises(ValidationError, match="gradient 1"):
+            opt.step([np.ones(3), np.ones(grad_shape)])
+        assert p.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_empty_parameter_list_is_a_no_op(self):
+        Adam([], learning_rate=0.01).step([])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_matches_per_array_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        shapes = [(64, 8), (64, 16), (64,), (36, 8)]
+        start = [rng.standard_normal(s) for s in shapes]
+        grad_steps = [[mixed_gradient(rng, s) for s in shapes] for _ in range(40)]
+        rates = [1e-3] * 20 + [1e-3 * 0.2] * 20
+        params = [p.copy() for p in start]
+        opt = Adam(params, learning_rate=1e-3)
+        for step, grads in enumerate(grad_steps):
+            if step == 20:
+                opt.learning_rate *= 0.2
+            opt.step(grads)
+        expected = adam_per_array([p.copy() for p in start], grad_steps, rates)
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in expected]
+        # the per-array form's result, recorded with the optimizer that
+        # looped over the parameter arrays
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in expected))
+        assert digest.hexdigest()[:16] == ADAM_PER_ARRAY_DIGEST
+
+
+ADAM_PER_ARRAY_DIGEST = "b5fa71d87b417f2a"
+
+
+def mixed_gradient(rng, shape):
+    """Gradient with zeros, subnormals, values up to 1e300 (whose squares
+    overflow the second moment to inf) and ordinary values of either sign."""
+    g = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 1.0, shape)
+    kind = rng.integers(0, 20, shape)
+    g[kind == 0] = 0.0
+    g[kind == 1] = rng.uniform(-1.0, 1.0, shape)[kind == 1] * 2.0 ** -1030
+    g[kind == 2] = rng.uniform(-1.0, 1.0, shape)[kind == 2] * 10.0 ** rng.uniform(
+        150.0, 300.0, shape)[kind == 2]
+    return g
+
+
+def adam_per_array(params, grad_steps, rates, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Adam as a loop over the parameter arrays, one array at a time, with
+    `rates[k]` the learning rate of step k; returns the updated params."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, (grads, lr) in enumerate(zip(grad_steps, rates), start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+    return params
+
 
 def replay_early_stopping(history, patience):
     """Feed a validation-loss history to EarlyStopping; returns (stop,

@@ -8,6 +8,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aedetect.cli import EXIT_OK, main
@@ -49,6 +50,22 @@ def test_every_layer_class_has_a_kernel_name():
                   LstmAutoencoder(d=3, window_length=4, seed=0)):
         for layer in model.layers:
             assert type(layer).__name__ in kinds
+
+
+@pytest.mark.parametrize("arch, model, shape", (
+    ("dense_ae", DenseAutoencoder(d=3, seed=0), (4, 3)),
+    ("lstm_ae", LstmAutoencoder(d=3, window_length=4, seed=0), (4, 4, 3)),
+), ids=("dense", "lstm"))
+def test_kernel_pass_runs(arch, model, shape):
+    # the kernel pass builds its own Adam over copies of the parameters and
+    # steps it with the model's gradient list
+    x = np.random.default_rng(0).uniform(size=shape)
+    before = [p.copy() for p in model.parameters()]
+    out = load_script("kernels").model_pass(arch, model, x, reps=1)
+    step = out[f"neuralnet.{arch}.adam_step_ms"]
+    assert step["n"] == 1 and np.isfinite(step["p50"])
+    assert len(out) == 2 * len(model.layers) + 1
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.parameters()))
 
 
 def run(args):

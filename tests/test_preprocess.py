@@ -327,6 +327,48 @@ class TestPartitionWindows:
         assert w.shape == (0, 3, 2) and wl.size == 0 and ends.size == 0
 
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_concatenated_runs(self, seed, stride):
+        rng = np.random.default_rng(seed)
+        n, spec = 300, WindowSpec(5, stride)
+        matrix = rng.standard_normal((n, 3))
+        labels = rng.random(n) < 0.05
+        # runs of 1..40 rows between gaps, half of them 1..8 rows: shorter
+        # than, as long as, or a few rows longer than the window
+        keep = np.zeros(n, dtype=bool)
+        lo = 0
+        while lo < n:
+            size = int(rng.integers(1, 9 if rng.random() < 0.5 else 41))
+            keep[lo : lo + size] = True
+            lo += size + int(rng.integers(1, 4))
+        for rows in (np.flatnonzero(keep), np.array([], dtype=np.int64)):
+            got = partition_windows(matrix, labels, rows, spec)
+            want = concatenated_partition_windows(matrix, labels, rows, spec)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def concatenated_partition_windows(matrix, labels, rows, spec):
+    """Window each contiguous run on its own, then concatenate the pieces."""
+    t, stride = spec.length, spec.stride
+    view = np.lib.stride_tricks.sliding_window_view
+    pieces, piece_labels, piece_ends = [], [], []
+    for run in contiguous_runs(rows):
+        if run.size < t:
+            continue
+        w = view(matrix[run], t, axis=0)[::stride]
+        pieces.append(np.ascontiguousarray(w.transpose(0, 2, 1)))
+        piece_labels.append(view(labels[run], t)[::stride].any(axis=1))
+        piece_ends.append(run[0] + np.arange(w.shape[0]) * stride + t - 1)
+    if not pieces:
+        return (np.empty((0, t, matrix.shape[1])), np.empty(0, dtype=bool),
+                np.empty(0, dtype=np.int64))
+    return (np.concatenate(pieces), np.concatenate(piece_labels),
+            np.concatenate(piece_ends))
+
+
 class TestFilesRoundTrip:
     def test_matrix_csv(self, tmp_path):
         rng = np.random.default_rng(9)
