@@ -138,7 +138,7 @@ def _coerce(field_name: str, raw: str):
     try:
         if kind.startswith("int"):
             return int(raw)
-        if kind.startswith("float") or field_name == "learning_rate":
+        if kind.startswith("float"):
             return float(raw)
     except ValueError as exc:
         raise ValidationError(f"bad value {raw!r} for {field_name}") from exc
@@ -213,12 +213,10 @@ def _read_labels(path) -> tuple[np.ndarray, np.ndarray]:
     texts = []
 
     def parse(row):
-        if int(row[0]) != len(texts):
-            raise ValueError(f"row_index must be {len(texts)}, got {row[0].strip()!r}")
         texts.append(row[1])
         return bool(int(row[2]))
 
-    _, flags = dataset.read_table(path, parse, LABELS_HEADER)
+    _, flags = dataset.read_table(path, parse, LABELS_HEADER, indexed=True)
     return (np.array(flags, dtype=bool),
             dataset.stamp_column(path, texts, 1, LABELS_HEADER))
 
@@ -244,12 +242,9 @@ def cmd_prepare(config: RunConfig) -> int:
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    preprocess.write_matrix_csv(scaled[plan.train_indices], log.channel_names,
-                                out / "train.csv")
-    preprocess.write_matrix_csv(scaled[plan.validation_indices], log.channel_names,
-                                out / "val.csv")
-    preprocess.write_matrix_csv(scaled[plan.test_indices], log.channel_names,
-                                out / "test.csv")
+    for code, part in enumerate(preprocess.PARTITIONS):
+        preprocess.write_matrix_csv(scaled[plan.parts == code], log.channel_names,
+                                    out / f"{part}.csv")
     preprocess.write_split_plan(plan, out / "split_plan.csv")
     dataset.write_table(out / "labels.csv", LABELS_HEADER, (
         [i, stamp, int(flag)] for i, (stamp, flag)
@@ -296,12 +291,9 @@ class Prepared:
         """(windows, labels, end rows) over the given rows of the log, e.g.
         the test partition or the training pool; windows never straddle a
         gap in `rows`."""
-        plan = self.plan
-        full = np.full((self.labels.size, self.train.shape[1]), np.nan)
-        for part_rows, matrix in ((plan.train_indices, self.train),
-                                  (plan.validation_indices, self.val),
-                                  (plan.test_indices, self.test)):
-            full[part_rows] = matrix
+        full = np.empty((self.labels.size, self.train.shape[1]))
+        for code, matrix in enumerate((self.train, self.val, self.test)):
+            full[self.plan.parts == code] = matrix
         return preprocess.partition_windows(full, self.labels, rows,
                                             WindowSpec(length, stride))
 
@@ -310,16 +302,18 @@ def _load_prepared(config: RunConfig) -> Prepared:
     out = config.out_path
     plan = preprocess.read_split_plan(out / "split_plan.csv")
     matrices = []
-    for part, rows in (("train", plan.train_indices),
-                       ("val", plan.validation_indices),
-                       ("test", plan.test_indices)):
+    for code, part in enumerate(preprocess.PARTITIONS):
         path = out / f"{part}.csv"
         matrix, _names = preprocess.read_matrix_csv(path)
-        if matrix.shape[0] != rows.size:
+        rows = np.count_nonzero(plan.parts == code)
+        if matrix.shape[0] != rows:
             raise ParseError(f"{path}: {matrix.shape[0]} rows, but split_plan.csv "
-                             f"assigns {rows.size}")
+                             f"assigns {rows}")
         matrices.append(matrix)
     labels, stamps = _read_labels(out / "labels.csv")
+    if labels.size != plan.parts.size:
+        raise ParseError(f"{out / 'split_plan.csv'}: {plan.parts.size} rows, but "
+                         f"labels.csv has {labels.size}")
     scaler_path = out / "scaler.json"
     with open(scaler_path, encoding="utf-8") as fh:
         try:

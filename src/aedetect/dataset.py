@@ -50,13 +50,14 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, parse, header=None) -> tuple[list[str], list]:
+def read_table(path, parse, header=None, indexed=False) -> tuple[list[str], list]:
     """The header row (cells stripped) and `parse(row)` for each non-empty
     row of a CSV table. The header must equal `header` when one is given,
-    and every row must have the header's field count. A missing or wrong
-    header, undecodable bytes, a malformed line, a short or long row, or a
-    LookupError/ValueError from `parse` raises one ParseError naming the file
-    and row."""
+    every row must have the header's field count, and in an `indexed` table
+    the first cell of body row k must read k. A missing or wrong header,
+    undecodable bytes, a malformed line, a short or long row, a wrong index,
+    or a LookupError/ValueError from `parse` raises one ParseError naming the
+    file and row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -71,6 +72,9 @@ def read_table(path, parse, header=None) -> tuple[list[str], list]:
                 if row:
                     if len(row) != width:
                         raise ValueError(f"expected {width} fields, got {len(row)}")
+                    if indexed and int(row[0]) != len(rows):
+                        raise ValueError(f"{found[0]} must be {len(rows)}, "
+                                         f"got {row[0].strip()!r}")
                     rows.append(parse(row))
         except (csv.Error, LookupError, ValueError) as exc:
             row = reader.line_num or 1

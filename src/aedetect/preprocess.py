@@ -64,36 +64,46 @@ class WindowSpec:
             raise ValidationError("window length and stride must be >= 1")
 
 
+PARTITIONS = ("train", "val", "test")
+
+
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """Row-index partition of a log into train/validation/test sets.
+    """Partition of a log's rows into train/validation/test sets: `parts[k]`
+    is the index into PARTITIONS of row k, so the sets are disjoint, cover
+    every row and list their rows in row order.
 
     train and validation contain only healthy rows; test holds all fault rows
     plus the held-out healthy remainder.
     """
 
-    train_indices: np.ndarray
-    validation_indices: np.ndarray
-    test_indices: np.ndarray
+    parts: np.ndarray  # (N,) int8
 
     def __post_init__(self):
-        for name in ("train_indices", "validation_indices", "test_indices"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        sets = [
-            set(self.train_indices.tolist()),
-            set(self.validation_indices.tolist()),
-            set(self.test_indices.tolist()),
-        ]
-        total = len(sets[0]) + len(sets[1]) + len(sets[2])
-        if len(sets[0] | sets[1] | sets[2]) != total:
-            raise ValidationError("split partitions must be pairwise disjoint")
+        parts = np.asarray(self.parts)
+        if parts.ndim != 1 or ((parts < 0) | (parts >= len(PARTITIONS))).any():
+            raise ValidationError("split plan must be one partition code "
+                                  f"in 0..{len(PARTITIONS) - 1} per row")
+        parts = parts.astype(np.int8)
+        parts.setflags(write=False)
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def train_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.parts == 0)
+
+    @property
+    def validation_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.parts == 1)
+
+    @property
+    def test_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.parts == 2)
 
     @property
     def pool_indices(self) -> np.ndarray:
         """Healthy training pool: train and validation rows, in row order."""
-        return np.sort(np.concatenate([self.train_indices, self.validation_indices]))
+        return np.flatnonzero(self.parts != 2)
 
 
 def drop_empty_channels(log: SensorLog) -> tuple[SensorLog, list[str]]:
@@ -196,14 +206,12 @@ def plan_split(
     healthy = np.flatnonzero(~flags)
     if healthy.size == 0:
         raise ValidationError("no healthy samples to train on")
-    n_pool = int(train_ratio * healthy.size)
-    pool = healthy[:n_pool]
-    test = np.sort(np.concatenate([healthy[n_pool:], np.flatnonzero(flags)]))
+    pool = healthy[: int(train_ratio * healthy.size)]
+    parts = np.full(flags.size, 2, dtype=np.int8)
+    parts[pool] = 0
     rng = np.random.default_rng(seed)
-    n_val = int(validation_ratio * pool.size)
-    val = np.sort(rng.choice(pool, size=n_val, replace=False))
-    train = np.setdiff1d(pool, val)
-    return SplitPlan(train, val, test)
+    parts[rng.choice(pool, size=int(validation_ratio * pool.size), replace=False)] = 1
+    return SplitPlan(parts)
 
 
 def make_windows(
@@ -305,18 +313,17 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
 
 
 SPLIT_PLAN_HEADER = ("row_index", "partition")
-PARTITIONS = ("train", "val", "test")
 
 
 def write_split_plan(plan: SplitPlan, path) -> None:
-    """SplitPlan file: CSV of (row_index, partition), in row order."""
-    parts = (plan.train_indices, plan.validation_indices, plan.test_indices)
-    write_table(path, SPLIT_PLAN_HEADER, sorted(
-        (int(i), part) for rows, part in zip(parts, PARTITIONS) for i in rows))
+    """SplitPlan file: CSV of (row_index, partition), one row per log row."""
+    write_table(path, SPLIT_PLAN_HEADER,
+                ((i, PARTITIONS[part]) for i, part in enumerate(plan.parts.tolist())))
 
 
 def read_split_plan(path) -> SplitPlan:
-    buckets = {part: [] for part in PARTITIONS}
-    read_table(path, lambda row: buckets[row[1].strip()].append(int(row[0])),
-               SPLIT_PLAN_HEADER)
-    return SplitPlan(*(np.array(buckets[part], dtype=np.int64) for part in PARTITIONS))
+    """SplitPlan file back: body row k is (k, the name of a partition)."""
+    codes = {part: code for code, part in enumerate(PARTITIONS)}
+    _, parts = read_table(path, lambda row: codes[row[1]], SPLIT_PLAN_HEADER,
+                          indexed=True)
+    return SplitPlan(np.array(parts, dtype=np.int8))

@@ -282,7 +282,7 @@ def train(
             best_weights = _snapshot(model)
         should_stop = stopper.update(val_loss, epoch)
         if plateau.update(val_loss):
-            optimizer.learning_rate *= config.plateau_factor
+            optimizer.learning_rate *= plateau.factor
         if should_stop:
             report.stop_reason = "early_stop"
             break

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aedetect.cli import (
     EXIT_IO,
@@ -19,6 +24,18 @@ from aedetect.cli import (
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    """Rows back as the pipeline writes them, so unchanged rows keep their
+    bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 # byte corruptions of a pipeline file: not UTF-8, a NUL, a field longer than
@@ -87,6 +104,11 @@ class TestConfigResolution:
         lstm = RunConfig(architecture="lstm_ae")
         assert dense.train_config().learning_rate == pytest.approx(3e-3)
         assert lstm.train_config().learning_rate == pytest.approx(1e-3)
+
+    def test_learning_rate_flag_is_a_float(self):
+        args = build_parser().parse_args(["train", "--train.learning_rate", "0.01"])
+        lr = resolve_config(args).learning_rate
+        assert type(lr) is float and lr == 0.01
 
 
 class TestExitCodes:
@@ -171,6 +193,68 @@ class TestExitCodes:
         capsys.readouterr()
         assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert name in capsys.readouterr().err
+
+    # the last row of the log, a test row, gets another row_index in
+    # split_plan.csv, or is missing from both split_plan.csv and test.csv;
+    # every partition's row count still matches its matrix file
+    @pytest.mark.parametrize("index", ("99999", "-1", None),
+                             ids=("index-99999", "index-minus-1", "last-row-missing"))
+    def test_bad_split_plan_row_is_parse_error(self, pipeline_dir, tmp_path, capsys,
+                                               index):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        plan = read_rows(out / "split_plan.csv")
+        assert plan[-1] == ["2499", "test"]
+        if index is None:
+            del plan[-1]
+            write_rows(out / "test.csv", read_rows(out / "test.csv")[:-1])
+        else:
+            plan[-1][0] = index
+        write_rows(out / "split_plan.csv", plan)
+        capsys.readouterr()
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "split_plan.csv" in capsys.readouterr().err
+
+    # one body row of a per-row file gets any integer index, or its last
+    # cell (the partition or the label) any text, or is dropped or doubled
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(("split_plan.csv", "labels.csv")),
+           k=st.integers(0, 2499),
+           mutation=st.one_of(
+               st.tuples(st.just("index"),
+                         st.one_of(st.integers(-2, 2502), st.integers())),
+               st.tuples(st.just("value"), st.one_of(
+                   st.sampled_from(("train", "val", "test", "0", "1", "2", "",
+                                    " 1", "1.0", "TRAIN", " train", "holdout")),
+                   st.text(st.characters(blacklist_categories=("Cs",)),
+                           max_size=6))),
+               st.tuples(st.sampled_from(("drop", "double")), st.none())))
+    def test_per_row_file_mutation_exits_0_or_2(self, pipeline_dir, name, k,
+                                                mutation):
+        path = pipeline_dir / name
+        original = path.read_bytes()
+        rows = read_rows(path)
+        kind, value = mutation
+        row = rows[k + 1]
+        if kind == "index":
+            rows[k + 1] = [str(value)] + row[1:]
+        elif kind == "value":
+            rows[k + 1] = row[:-1] + [value]
+        elif kind == "drop":
+            del rows[k + 1]
+        else:
+            rows.insert(k + 1, row)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = shutil.copytree(pipeline_dir, Path(tmp) / "run")
+            write_rows(out / name, rows)
+            changed = (out / name).read_bytes() != original
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["detect", "--out-dir", str(out), "--seed", "5"])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        if name == "split_plan.csv" and changed:
+            assert code == EXIT_VALIDATION
+            assert "split_plan.csv" in err.getvalue()
 
     @pytest.mark.parametrize("stage, flags", (
         pytest.param("synth", ["--seed", -1], id="synth-seed"),

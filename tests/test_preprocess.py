@@ -254,9 +254,12 @@ class TestPlanSplit:
         with pytest.raises(ValidationError):
             plan_split(np.array([True, True]), 0.9, 0.2, seed=0)
 
-    def test_partitions_disjoint_enforced(self):
-        with pytest.raises(ValidationError):
-            SplitPlan(np.array([0, 1]), np.array([1]), np.array([2]))
+    def test_parts_must_be_partition_codes(self):
+        # overlapping partitions cannot be expressed; a code outside 0..2 or
+        # a second axis is the only way to get a plan wrong
+        for parts in ([0, 1, 3], [0, -1, 2], [0, 1, 256], [[0, 1], [2, 0]]):
+            with pytest.raises(ValidationError):
+                SplitPlan(np.array(parts))
 
 
 class TestMakeWindows:
@@ -408,7 +411,8 @@ class TestFilesRoundTrip:
         with pytest.raises(ParseError, match="m.csv"):
             read_matrix_csv(path)
 
-    @pytest.mark.parametrize("row", ("x,train", "3", "3,holdout"))
+    @pytest.mark.parametrize("row", ("x,train", "3", "3,holdout", "1,holdout",
+                                     "2,train", "-1,train", "1, val"))
     def test_split_plan_bad_row_names_file(self, tmp_path, row):
         path = tmp_path / "plan.csv"
         path.write_text(f"row_index,partition\n0,train\n{row}\n")
@@ -421,11 +425,15 @@ class TestFilesRoundTrip:
             write_matrix_csv(matrix, ["a", "b"], tmp_path / "m.csv")
 
     def test_split_plan_csv(self, tmp_path):
-        plan = SplitPlan(np.array([0, 2, 4]), np.array([1]), np.array([3, 5]))
+        plan = SplitPlan(np.array([0, 1, 0, 2, 0, 2]))
         path = tmp_path / "plan.csv"
         write_split_plan(plan, path)
         back = read_split_plan(path)
-        assert np.array_equal(back.train_indices, plan.train_indices)
-        assert np.array_equal(back.validation_indices, plan.validation_indices)
-        assert np.array_equal(back.test_indices, plan.test_indices)
-        assert path.read_text().splitlines()[0] == "row_index,partition"
+        assert back.parts.dtype == np.int8
+        assert np.array_equal(back.parts, plan.parts)
+        assert np.array_equal(back.train_indices, [0, 2, 4])
+        assert np.array_equal(back.validation_indices, [1])
+        assert np.array_equal(back.test_indices, [3, 5])
+        assert path.read_text().splitlines() == [
+            "row_index,partition", "0,train", "1,val", "2,train", "3,test",
+            "4,train", "5,test"]
