@@ -14,6 +14,7 @@ import argparse
 import configparser
 import json
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -208,17 +209,19 @@ SCORES_HEADER = ("index", "timestamp", "score", "flagged")
 
 def _read_labels(path) -> tuple[np.ndarray, np.ndarray]:
     """(fault flag, datetime64[m] timestamp) of every row of the log. Row k
-    of the file must carry row_index k, and a stamp that is not a timestamp
-    raises ParseError naming its row."""
-    texts = []
+    of the file must carry row_index k and a label of exactly 0 or 1, as
+    `prepare` writes them, and a stamp that is not a timestamp raises
+    ParseError naming its row."""
+    flags, stamps = bytearray(), dataset.StampColumn(path, 1, LABELS_HEADER)
 
     def parse(row):
-        texts.append(row[1])
-        return bool(int(row[2]))
+        if row[2] not in ("0", "1"):
+            raise ValueError(f"label must be 0 or 1, got {row[2]!r}")
+        flags.append(row[2] == "1")
+        stamps.add(row[1])
 
-    _, flags = dataset.read_table(path, parse, LABELS_HEADER, indexed=True)
-    return (np.array(flags, dtype=bool),
-            dataset.stamp_column(path, texts, 1, LABELS_HEADER))
+    dataset.read_table(path, parse, LABELS_HEADER, indexed=True)
+    return np.frombuffer(flags, dtype=bool), stamps.values()
 
 
 def cmd_prepare(config: RunConfig) -> int:
@@ -239,23 +242,25 @@ def cmd_prepare(config: RunConfig) -> int:
     )
     scaler = preprocess.fit_scaler(log.values, plan.pool_indices, labels)
     scaled = preprocess.apply_scaler(log.values, scaler)
+    stamps, names = log.timestamps, log.channel_names
+    del log  # frees the imputed values before the partition copies are made
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
     for code, part in enumerate(preprocess.PARTITIONS):
-        preprocess.write_matrix_csv(scaled[plan.parts == code], log.channel_names,
+        preprocess.write_matrix_csv(scaled[plan.parts == code], names,
                                     out / f"{part}.csv")
     preprocess.write_split_plan(plan, out / "split_plan.csv")
     dataset.write_table(out / "labels.csv", LABELS_HEADER, (
         [i, stamp, int(flag)] for i, (stamp, flag)
-        in enumerate(zip(dataset.format_timestamps(log.timestamps), labels))))
+        in enumerate(zip(dataset.format_timestamps(stamps), labels))))
     with open(out / "scaler.json", "w", encoding="utf-8") as fh:
         json.dump(scaler.to_doc(), fh, indent=1)
         fh.write("\n")
 
     summary = {
-        "rows": log.n_samples,
-        "channels_kept": log.n_channels,
+        "rows": scaled.shape[0],
+        "channels_kept": scaled.shape[1],
         "dropped_channels": dropped,
         "missing_cells_before": missing_before,
         "missing_cells_after": int(np.isnan(scaled).sum()),
@@ -267,7 +272,7 @@ def cmd_prepare(config: RunConfig) -> int:
     with open(out / "prep_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    print(f"prepared {log.n_samples} rows x {log.n_channels} channels "
+    print(f"prepared {scaled.shape[0]} rows x {scaled.shape[1]} channels "
           f"({summary['missing_cells_after']} missing cells remain); "
           f"train/val/test = {summary['train_rows']}/"
           f"{summary['validation_rows']}/{summary['test_rows']}")
@@ -320,6 +325,11 @@ def _load_prepared(config: RunConfig) -> Prepared:
             scaler = preprocess.ScalerParams.from_doc(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{scaler_path}: bad scaler document ({exc!r})") from None
+    width = scaler.minimum.size
+    for part, matrix in zip(preprocess.PARTITIONS, matrices):
+        if matrix.shape[1] != width:
+            raise ParseError(f"{out / f'{part}.csv'}: {matrix.shape[1]} columns, "
+                             f"but scaler.json has {width}")
     return Prepared(plan, *matrices, labels, stamps, scaler)
 
 
@@ -458,11 +468,15 @@ def cmd_eval(config: RunConfig) -> int:
     bundle = _load_bundle(config)
     out = config.out_path
     _items, expected, truth = _test_items(_load_prepared(config), bundle)
-    _, rows = dataset.read_table(out / "scores.csv",
-                                 lambda row: (int(row[0]), bool(int(row[3]))),
-                                 SCORES_HEADER)
-    indices = np.array([i for i, _ in rows], dtype=np.int64)
-    flags = np.array([flag for _, flag in rows], dtype=bool)
+    rows, flagged = array("q"), bytearray()
+
+    def parse(row):
+        rows.append(int(row[0]))
+        flagged.append(bool(int(row[3])))
+
+    dataset.read_table(out / "scores.csv", parse, SCORES_HEADER)
+    indices = np.frombuffer(rows, dtype=np.int64)
+    flags = np.frombuffer(flagged, dtype=bool)
     if indices.shape != expected.shape or (indices != expected).any():
         raise ValidationError(
             "scores.csv does not align with the test items; re-run detect"

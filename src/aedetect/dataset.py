@@ -51,13 +51,15 @@ def write_table(path, header, rows) -> None:
 
 
 def read_table(path, parse, header=None, indexed=False) -> tuple[list[str], list]:
-    """The header row (cells stripped) and `parse(row)` for each non-empty
-    row of a CSV table. The header must equal `header` when one is given,
-    every row must have the header's field count, and in an `indexed` table
-    the first cell of body row k must read k. A missing or wrong header,
-    undecodable bytes, a malformed line, a short or long row, a wrong index,
-    or a LookupError/ValueError from `parse` raises one ParseError naming the
-    file and row."""
+    """The header row (cells stripped) and the list of `parse(row)` for each
+    non-empty row of a CSV table, None results left out: a `parse` that
+    fills arrays of its own returns None, and no per-row list is built. The
+    header must equal `header` when one is given, every row must have the
+    header's field count, and in an `indexed` table the first cell of body
+    row k must read k. A missing or wrong header, undecodable bytes, a
+    malformed line, a short or long row, a wrong index, or a
+    LookupError/ValueError/OverflowError from `parse` raises one ParseError
+    naming the file and row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -67,16 +69,18 @@ def read_table(path, parse, header=None, indexed=False) -> tuple[list[str], list
             if header is not None and found != list(header):
                 raise ValueError(f"header must be {','.join(header)!r}, "
                                  f"got {','.join(found)!r}")
-            width, rows = len(found), []
+            width, count, rows = len(found), 0, []
             for row in reader:
                 if row:
                     if len(row) != width:
                         raise ValueError(f"expected {width} fields, got {len(row)}")
-                    if indexed and int(row[0]) != len(rows):
-                        raise ValueError(f"{found[0]} must be {len(rows)}, "
+                    if indexed and int(row[0]) != count:
+                        raise ValueError(f"{found[0]} must be {count}, "
                                          f"got {row[0].strip()!r}")
-                    rows.append(parse(row))
-        except (csv.Error, LookupError, ValueError) as exc:
+                    if (value := parse(row)) is not None:
+                        rows.append(value)
+                    count += 1
+        except (csv.Error, LookupError, ValueError, OverflowError) as exc:
             row = reader.line_num or 1
             if isinstance(exc, UnicodeDecodeError):
                 # the text layer decodes ahead of the csv reader
@@ -128,15 +132,45 @@ def _parse_timestamps(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype="datetime64[m]")
 
 
-def stamp_column(path, texts: list[str], column: int, header=None) -> np.ndarray:
-    """`_parse_timestamps(texts)`, where `texts` is column `column` of the CSV
-    table at `path` in row order; a text that is not a stamp raises
-    ParseError naming the file and its row."""
-    try:
-        return _parse_timestamps(texts)
-    except ValueError:
-        read_table(path, lambda row: _parse_timestamp(row[column]), header)
-        raise
+class StampColumn:
+    """The stamps of column `column` of the CSV table at `path`, given by
+    `add` one text at a time in row order (from a `read_table` row callback)
+    and converted by `_parse_timestamps` one FORMAT_BLOCK of texts at a
+    time, so memory holds one block of texts, not one string per row.
+
+    `add` never raises, so the callback's own checks keep their order over
+    the whole file: a block that holds a bad stamp is only noted, and
+    `values` then raises ParseError naming the first bad stamp's row."""
+
+    def __init__(self, path, column: int, header=None):
+        self._path, self._column, self._header = path, column, header
+        self._texts: list[str] = []
+        self._minutes = array("q")
+        self._error: ValueError | None = None
+
+    def add(self, text: str) -> None:
+        self._texts.append(text)
+        if len(self._texts) == FORMAT_BLOCK:
+            self._convert()
+
+    def _convert(self) -> None:
+        if self._texts and self._error is None:
+            try:
+                self._minutes.frombytes(_parse_timestamps(self._texts).tobytes())
+            except ValueError as exc:
+                self._error = exc
+        self._texts.clear()
+
+    def values(self) -> np.ndarray:
+        """datetime64[m] of every text added, equal to `_parse_timestamps`
+        of them all; a bad stamp raises ParseError naming the file and the
+        row, found by reading the column again one row at a time."""
+        self._convert()
+        if self._error is not None:
+            read_table(self._path, lambda row: _parse_timestamp(row[self._column]),
+                       self._header)
+            raise self._error
+        return np.frombuffer(self._minutes, dtype="datetime64[m]")
 
 
 def format_timestamp(ts: np.datetime64) -> str:
@@ -240,34 +274,41 @@ def load_sensor_csv(path) -> SensorLog:
     """Load a sensor CSV into a SensorLog.
 
     Rows are sorted by timestamp before the uniform-grid check; duplicate
-    timestamps and gaps other than one minute are rejected. Empty cells
-    become NaN. A bad stamp or cell raises ParseError naming its row.
+    timestamps and gaps other than one minute are rejected, naming the file.
+    Empty cells become NaN. A bad stamp or cell raises ParseError naming its
+    row.
     """
-    stamps, cells = [], array("d")
+    stamps, cells = StampColumn(path, 0), array("d")
 
     def parse(row):
-        stamps.append(row[0])
+        stamps.add(row[0])
         cells.fromlist([float(c) if (c := cell.strip()) else math.nan
                         for cell in row[1:]])
 
     try:
         header, _ = read_table(path, parse)
-        ts = _parse_timestamps(stamps)
         values = np.frombuffer(cells, dtype=np.float64)
         if np.isinf(values).any():
             raise ValueError("non-finite value")
     except ValueError:
-        # the columns are checked whole, so find the first bad row, and its
+        # the cells are checked whole, so find the first bad row, and its
         # message, by checking the file again one row at a time
         read_table(path, _check_sensor_row)
         raise
+    # every cell is good, so the first bad stamp is the first bad row
+    ts = stamps.values()
     if len(header) < 2:
         raise ParseError(f"{path}: header must name a timestamp and a channel")
-    if not stamps:
+    if not ts.size:
         raise ParseError(f"{path}: file has a header but no data rows")
-    values = values.reshape(len(stamps), len(header) - 1)
-    order = np.argsort(ts, kind="stable")
-    return SensorLog(ts[order], tuple(header[1:]), values[order])
+    values = values.reshape(ts.size, len(header) - 1)
+    if (ts[1:] < ts[:-1]).any():  # a log in time order needs no sorted copies
+        order = np.argsort(ts, kind="stable")
+        ts, values = ts[order], values[order]
+    try:
+        return SensorLog(ts, tuple(header[1:]), values)
+    except ValidationError as exc:  # a duplicate stamp or a gap
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_sensor_csv(log: SensorLog, path) -> None:

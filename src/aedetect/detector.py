@@ -96,6 +96,19 @@ def reconstruct(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
+def residuals(model, x: np.ndarray) -> np.ndarray:
+    """`reconstruct(model, x)[0] - x` bit for bit, written chunk by chunk
+    from no-cache passes over `_chunks(x)`, so no full-size reconstruction
+    or latent exists."""
+    x = np.asarray(x, dtype=np.float64)
+    r, lo = np.empty_like(x), 0
+    for chunk in _chunks(x):
+        hi = lo + chunk.shape[0]
+        np.subtract(model.forward(chunk, cache=False)[0], chunk, out=r[lo:hi])
+        lo = hi
+    return r
+
+
 def _chunk_scores(model, x: np.ndarray, score) -> np.ndarray:
     """`score(residual)` of each of `_chunks(x)` in turn, joined: a chunk's
     reconstruction is reduced to its scores before the next pass, so no

@@ -174,8 +174,8 @@ def apply_scaler(matrix: np.ndarray, params: ScalerParams) -> np.ndarray:
         )
     span = params.maximum - params.minimum
     degenerate = span == 0.0
-    denom = np.where(degenerate, 1.0, span)
-    y = (x - params.minimum) / denom
+    y = x - params.minimum
+    y /= np.where(degenerate, 1.0, span)
     if degenerate.any():
         y[..., degenerate] = 0.0
     return y
@@ -323,7 +323,7 @@ def write_split_plan(plan: SplitPlan, path) -> None:
 
 def read_split_plan(path) -> SplitPlan:
     """SplitPlan file back: body row k is (k, the name of a partition)."""
-    codes = {part: code for code, part in enumerate(PARTITIONS)}
-    _, parts = read_table(path, lambda row: codes[row[1]], SPLIT_PLAN_HEADER,
-                          indexed=True)
-    return SplitPlan(np.array(parts, dtype=np.int8))
+    codes, parts = {part: code for code, part in enumerate(PARTITIONS)}, bytearray()
+    read_table(path, lambda row: parts.append(codes[row[1]]), SPLIT_PLAN_HEADER,
+               indexed=True)
+    return SplitPlan(np.frombuffer(parts, dtype=np.int8))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import write_table
-from .detector import reconstruct
+from .detector import residuals
 from .errors import LeakageError, NumericError, ValidationError
 from .neuralnet import Adam, EarlyStopping, ReduceLROnPlateau
 
@@ -176,10 +176,9 @@ def estimate_residual_covariance(
         raise ValidationError(
             f"need more than d={d} rows to estimate covariance, got {n}"
         )
-    xhat, _ = reconstruct(model, x)
-    r = xhat - x
-    centered = r - r.mean(axis=0)
-    sample = (centered.T @ centered) / (n - 1)
+    r = residuals(model, x)
+    r -= r.mean(axis=0)  # centred in place: the residual is the only (n, d) array
+    sample = (r.T @ r) / (n - 1)
     sample = 0.5 * (sample + sample.T)  # force bit-exact symmetry
     epsilon = 1e-6 * float(np.trace(sample)) / d
     if epsilon <= 0.0:

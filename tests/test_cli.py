@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,15 @@ from aedetect.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    LABELS_HEADER,
     RunConfig,
+    _read_labels,
     main,
     resolve_config,
     build_parser,
 )
+from aedetect.dataset import SensorLog, format_timestamps, write_sensor_csv, write_table
+from aedetect.errors import ParseError
 
 
 def run(args):
@@ -48,6 +53,12 @@ CORRUPT_BYTES = {
 }
 
 
+def set_cell(column, value):
+    """A table's rows with cell `column` of body row 0 set to `value`."""
+    return lambda rows: (rows[:1] + [rows[1][:column] + [value] + rows[1][column + 1:]]
+                         + rows[2:])
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """A small but complete synthetic run: synth + prepare + dense train at
@@ -62,6 +73,75 @@ def pipeline_dir(tmp_path_factory):
                 "--train.max_epochs", 6]) == EXIT_OK
     assert run(["threshold", "--out-dir", out, "--seed", 5]) == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def long_sensor(tmp_path_factory):
+    """Lines of the sensor.csv of a 4 097-row, 2-channel log, header first."""
+    rng = np.random.default_rng(4097)
+    stamps = np.datetime64("2024-01-01T00:00", "m") + np.arange(4097)
+    path = tmp_path_factory.mktemp("long") / "sensor.csv"
+    write_sensor_csv(SensorLog(stamps, ("a", "b"), rng.random((4097, 2))), path)
+    return path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+
+
+def labels_file(path, n, edits=None):
+    """labels.csv of n rows, every 11th row a fault, as `prepare` writes it,
+    with file row k (the header is row 1) replaced by edits[k](row); returns
+    the flags and stamps written."""
+    flags = np.arange(n) % 11 == 3
+    stamps = np.datetime64("2024-01-01T00:00", "m") + np.arange(n)
+    write_table(path, LABELS_HEADER, ([i, stamp, int(flag)] for i, (stamp, flag)
+                                      in enumerate(zip(format_timestamps(stamps), flags))))
+    lines = path.read_bytes().split(b"\r\n")
+    for k, edit in (edits or {}).items():
+        lines[k - 1] = edit(lines[k - 1])
+    path.write_bytes(b"\r\n".join(lines))
+    return flags, stamps
+
+
+def bad_stamp(line):
+    index, _, label = line.split(b",")
+    return b",".join((index, b"not a time", label))
+
+
+class TestLabelsFile:
+    """Label stamps are converted FORMAT_BLOCK (4 096) rows at a time. The
+    arrays and the error texts are those of the reader that held every
+    stamp string, as recorded on it."""
+
+    @pytest.mark.parametrize("n", (4095, 4096, 4097, 8193))
+    def test_block_edges_read_bit_equal(self, tmp_path, n):
+        flags, stamps = labels_file(tmp_path / "labels.csv", n)
+        got_flags, got_stamps = _read_labels(tmp_path / "labels.csv")
+        assert got_flags.tobytes() == flags.tobytes()
+        assert got_stamps.tobytes() == stamps.tobytes()
+
+    @pytest.mark.parametrize("edits, message", (
+        pytest.param({4100: bad_stamp}, "row 4100: time data 'not a time' does not "
+                     "match format '%Y-%m-%d %H:%M'", id="bad-stamp"),
+        # every other check of the file comes first, a short row too
+        pytest.param({4100: bad_stamp, 8000: lambda line: line[:line.rindex(b",")]},
+                     "row 8000: expected 3 fields, got 2", id="short-row-after"),
+    ))
+    def test_bad_stamp_past_the_first_block(self, tmp_path, edits, message):
+        path = tmp_path / "labels.csv"
+        labels_file(path, 8193, edits)
+        with pytest.raises(ParseError) as caught:
+            _read_labels(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_peak_memory(self, tmp_path):
+        # the reader that held one stamp string per row peaked at 2 727 279
+        # bytes (tracemalloc) on this file
+        labels_file(tmp_path / "labels.csv", 20_000)
+        tracemalloc.start()
+        try:
+            _read_labels(tmp_path / "labels.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_727_279 / 2
 
 
 class TestConfigResolution:
@@ -159,7 +239,8 @@ class TestExitCodes:
         assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert "scores.csv: row 4:" in capsys.readouterr().err
 
-    # a str replaces the whole file; bytes are spliced in after its first line
+    # a str replaces the whole file, bytes are spliced in after its first
+    # line, and a function maps the file's rows to new rows
     @pytest.mark.parametrize("name, text", (
         ("scaler.json", "{"),
         ("scaler.json", '{"min": [0.0]}'),
@@ -175,6 +256,9 @@ class TestExitCodes:
           for name in ("labels.csv", "split_plan.csv", "test.csv", "scores.csv",
                        "scaler.json", "model.json")
           for label, blob in CORRUPT_BYTES.items()),
+        *(pytest.param("labels.csv", set_cell(2, value), id=f"labels.csv-label-{value}")
+          for value in ("2", "-1", "01")),
+        pytest.param("scores.csv", set_cell(0, "9" * 30), id="scores.csv-huge-index"),
     ))
     def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
                                                   capsys, name, text):
@@ -188,6 +272,8 @@ class TestExitCodes:
             data = path.read_bytes()
             cut = data.index(b"\n") + 1
             path.write_bytes(data[:cut] + text + data[cut:])
+        elif callable(text):
+            write_rows(path, text(read_rows(path)))
         else:
             path.write_text(text)
         capsys.readouterr()
@@ -255,6 +341,55 @@ class TestExitCodes:
         if name == "split_plan.csv" and changed:
             assert code == EXIT_VALIDATION
             assert "split_plan.csv" in err.getvalue()
+
+    # one line of a sensor.csv that ends one row past the first stamp block
+    # (the header counts as line 0) becomes any text, or is dropped or doubled
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 4097),
+           mutation=st.one_of(
+               st.tuples(st.just("replace"), st.one_of(
+                   st.sampled_from(("", ",", "2024-01-01 00:00,1,2",
+                                    "2024-01-03 20:16,inf,0", "not a time,1,2")),
+                   st.text(st.characters(blacklist_categories=("Cs",)),
+                           max_size=40))),
+               st.tuples(st.sampled_from(("drop", "double")), st.none())))
+    def test_sensor_row_mutation_exits_0_or_2(self, long_sensor, k, mutation):
+        lines = list(long_sensor)
+        kind, text = mutation
+        if kind == "replace":
+            lines[k] = text
+        elif kind == "drop":
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sensor.csv"
+            path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["prepare", "--out-dir", tmp, "--paths.sensor_csv",
+                             str(path)])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        if code == EXIT_VALIDATION:
+            assert "sensor.csv" in err.getvalue()
+
+    @pytest.mark.parametrize("architecture", ("dense_ae", "lstm_ae"))
+    def test_matrix_of_another_width_is_parse_error(self, pipeline_dir, tmp_path,
+                                                    capsys, architecture):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        flags = ["--out-dir", out, "--seed", 5,
+                 "--pipeline.architecture", architecture]
+        if architecture == "lstm_ae":
+            assert run(["train"] + flags + ["--train.max_epochs", 1]) == EXIT_OK
+            assert run(["threshold"] + flags) == EXIT_OK
+        # test.csv loses its last column, header and every row
+        write_rows(out / "test.csv", [row[:-1] for row in read_rows(out / "test.csv")])
+        capsys.readouterr()
+        assert run(["detect"] + flags) == EXIT_VALIDATION
+        assert f"{out / 'test.csv'}: 7 columns, but scaler.json has 8" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage, flags", (
         pytest.param("synth", ["--seed", -1], id="synth-seed"),

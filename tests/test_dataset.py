@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from aedetect.dataset import (
     FaultSchedule,
     SensorLog,
+    StampColumn,
     label_samples,
     load_fault_intervals,
     load_sensor_csv,
     read_table,
-    stamp_column,
     write_sensor_csv,
     write_table,
 )
@@ -49,7 +50,7 @@ class TestLoadSensorCsv:
         path = write(tmp_path, "timestamp,a\n"
                                "2024-01-01 00:00,1\n"
                                "2024-01-01 00:02,2\n")
-        with pytest.raises(SpacingError):
+        with pytest.raises(SpacingError, match="log.csv: gap of 2 minutes between"):
             load_sensor_csv(path)
 
     def test_nan_sentinel_matches_scratch_parse(self, tmp_path):
@@ -77,7 +78,8 @@ class TestLoadSensorCsv:
         path = write(tmp_path, "timestamp,a\n"
                                "2024-01-01 00:00,1\n"
                                "2024-01-01 00:00,2\n")
-        with pytest.raises(DuplicateTimestampError):
+        with pytest.raises(DuplicateTimestampError,
+                           match="log.csv: duplicate timestamp 2024-01-01 00:00"):
             load_sensor_csv(path)
 
     def test_malformed_timestamp_reports_row(self, tmp_path):
@@ -156,6 +158,84 @@ class TestReaderParity:
         assert np.array_equal(log.timestamps,
                               minute_range("2024-01-01T00:00", len(expected)))
         assert np.array_equal(log.values, np.array(expected), equal_nan=True)
+
+
+def block_log(tmp_path, n, edits=None):
+    """An n-row, 3-channel log with 5% of its cells missing, and its sensor
+    CSV with file row k (the header is row 1) replaced by edits[k](row)."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 3)) * 100
+    values[rng.random((n, 3)) < 0.05] = np.nan
+    log = SensorLog(minute_range("2024-01-01T00:00", n), ("a", "b", "c"), values)
+    path = tmp_path / "sensor.csv"
+    write_sensor_csv(log, path)
+    lines = path.read_bytes().split(b"\r\n")
+    for k, edit in (edits or {}).items():
+        lines[k - 1] = edit(lines[k - 1])
+    path.write_bytes(b"\r\n".join(lines))
+    return log, path
+
+
+def stamp(text):
+    return lambda line: text + line[line.index(b","):]
+
+
+def last_cell(text):
+    return lambda line: line[:line.rindex(b",") + 1] + text
+
+
+NOT_A_TIME = "time data 'not a time' does not match format '%Y-%m-%d %H:%M'"
+
+
+class TestStampBlocks:
+    """Stamps are converted FORMAT_BLOCK (4 096) rows at a time. The loaded
+    arrays and the error texts are those of the reader that converted the
+    whole column at once, as recorded on it."""
+
+    @pytest.mark.parametrize("n", (4095, 4096, 4097, 8193))
+    def test_block_edges_load_bit_equal(self, tmp_path, n):
+        log, path = block_log(tmp_path, n)
+        again = load_sensor_csv(path)
+        assert again.timestamps.tobytes() == log.timestamps.tobytes()
+        assert again.values.tobytes() == log.values.tobytes()
+
+    def test_one_block_through_strptime(self, tmp_path):
+        # row 5000 (minute 4 998) spelled unpadded sends the second block
+        # through strptime, the other two through numpy
+        log, path = block_log(tmp_path, 8193, {5000: stamp(b"2024-1-4 11:18")})
+        again = load_sensor_csv(path)
+        assert again.timestamps.tobytes() == log.timestamps.tobytes()
+        assert again.values.tobytes() == log.values.tobytes()
+
+    @pytest.mark.parametrize("edits, message", (
+        pytest.param({4100: stamp(b"not a time")}, f"row 4100: {NOT_A_TIME}",
+                     id="bad-stamp"),
+        pytest.param({4100: stamp(b"2024-02-30 00:00")},
+                     "row 4100: day is out of range for month", id="feb-30"),
+        pytest.param({4100: stamp(b"not a time"), 3000: last_cell(b"inf")},
+                     "row 3000: non-finite value 'inf'", id="inf-before"),
+        pytest.param({4100: stamp(b"not a time"), 6000: last_cell(b"inf")},
+                     f"row 4100: {NOT_A_TIME}", id="inf-after"),
+        pytest.param({4100: stamp(b"not a time"), 6000: last_cell(b"x")},
+                     f"row 4100: {NOT_A_TIME}", id="bad-number-after"),
+    ))
+    def test_bad_stamp_past_the_first_block(self, tmp_path, edits, message):
+        _, path = block_log(tmp_path, 8193, edits)
+        with pytest.raises(ParseError) as caught:
+            load_sensor_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_sensor_load_peak_memory(self, tmp_path):
+        # the reader that held one stamp string per row peaked at 3 276 805
+        # bytes (tracemalloc) on this file
+        _, path = block_log(tmp_path, 20_000)
+        tracemalloc.start()
+        try:
+            load_sensor_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_276_805 / 2
 
 
 class TestRoundTrip:
@@ -269,11 +349,15 @@ class TestTable:
         path = write(tmp_path, "k,t\na,2024-01-01 00:00\n\nb,2024-1-1 0:1\n"
                                "c,2024-02-30 00:00\n", "t.csv")
         _, texts = read_table(path, lambda row: row[1])
-        assert np.array_equal(stamp_column(path, texts[:2], 1),
-                              minute_range("2024-01-01T00:00", 2))
+        good, bad = StampColumn(path, 1), StampColumn(path, 1)
+        for text in texts[:2]:
+            good.add(text)
+        for text in texts:
+            bad.add(text)
+        assert np.array_equal(good.values(), minute_range("2024-01-01T00:00", 2))
         with pytest.raises(ParseError,
                            match="t.csv: row 5: day is out of range for month"):
-            stamp_column(path, texts, 1)
+            bad.values()
 
     @pytest.mark.parametrize("splice", sorted(CORRUPT_BYTES))
     @pytest.mark.parametrize("name, load, text", (
