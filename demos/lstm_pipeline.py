@@ -6,8 +6,6 @@ they never straddle the train/test boundary or a fault gap; a window counts
 as anomalous if any of its five frames is flagged.
 """
 
-import numpy as np
-
 from aedetect import (
     LstmAutoencoder,
     TrainConfig,
@@ -37,14 +35,11 @@ plan = plan_split(labels, 0.9, 0.2, seed=SEED)
 scaler = fit_scaler(log.values, plan.pool_indices, labels)
 scaled = apply_scaler(log.values, scaler)
 
-# --- window the healthy pool; carve a window-level validation sample
+# --- window the healthy pool; a window belongs to its last row's partition
 spec = WindowSpec(length=5, stride=1)
-pool_windows, pool_labels, _ = partition_windows(scaled, labels,
-                                                 plan.pool_indices, spec)
-rng = np.random.default_rng(SEED)
-n_val = int(0.2 * pool_windows.shape[0])
-val_mask = np.zeros(pool_windows.shape[0], dtype=bool)
-val_mask[np.sort(rng.choice(pool_windows.shape[0], n_val, replace=False))] = True
+pool_windows, pool_labels, ends = partition_windows(scaled, labels,
+                                                    plan.pool_indices, spec)
+val_mask = plan.parts[ends] == 1  # code 1 is the val partition
 print(f"{pool_windows.shape[0]} healthy training windows "
       f"({val_mask.sum()} held for validation), shape {pool_windows.shape[1:]}")
 

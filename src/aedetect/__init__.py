@@ -55,7 +55,6 @@ from .preprocess import (
     fit_scaler,
     impute_cascade,
     invert_scaler,
-    make_windows,
     partition_windows,
     plan_split,
 )

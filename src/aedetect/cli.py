@@ -26,7 +26,6 @@ from .models import (
     DenseAutoencoder,
     LstmAutoencoder,
     ModelBundle,
-    WindowRecipe,
     load_model,
     save_model,
 )
@@ -292,16 +291,6 @@ class Prepared:
     stamps: np.ndarray  # datetime64[m]
     scaler: preprocess.ScalerParams
 
-    def windows(self, rows: np.ndarray, length: int, stride: int):
-        """(windows, labels, end rows) over the given rows of the log, e.g.
-        the test partition or the training pool; windows never straddle a
-        gap in `rows`."""
-        full = np.empty((self.labels.size, self.train.shape[1]))
-        for code, matrix in enumerate((self.train, self.val, self.test)):
-            full[self.plan.parts == code] = matrix
-        return preprocess.partition_windows(full, self.labels, rows,
-                                            WindowSpec(length, stride))
-
 
 def _load_prepared(config: RunConfig) -> Prepared:
     out = config.out_path
@@ -323,7 +312,7 @@ def _load_prepared(config: RunConfig) -> Prepared:
     with open(scaler_path, encoding="utf-8") as fh:
         try:
             scaler = preprocess.ScalerParams.from_doc(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{scaler_path}: bad scaler document ({exc!r})") from None
     width = scaler.minimum.size
     for part, matrix in zip(preprocess.PARTITIONS, matrices):
@@ -333,50 +322,53 @@ def _load_prepared(config: RunConfig) -> Prepared:
     return Prepared(plan, *matrices, labels, stamps, scaler)
 
 
-def _pool_windows(data: Prepared, model: LstmAutoencoder, recipe: WindowRecipe):
-    """Healthy training-pool windows of the model's length at the recipe's
-    stride, their labels and end rows, and the mask of the recipe's seeded
-    window-level validation sample. Callers copy out the parts they use and
-    drop the pool's windows."""
-    windows, wlabels, ends = data.windows(data.plan.pool_indices,
-                                          model.window_length, recipe.stride)
-    if windows.shape[0] < 2:
-        raise ValidationError("training pool is too short to window")
-    rng = np.random.default_rng(recipe.seed)
-    n_val = int(recipe.validation_ratio * windows.shape[0])
-    val_pick = np.sort(rng.choice(windows.shape[0], size=n_val, replace=False))
-    val = np.zeros(windows.shape[0], dtype=bool)
-    val[val_pick] = True
-    return windows, wlabels, ends, val
+def _items(data: Prepared, model, stride: int | None, *parts: str):
+    """[(items, row per item, fault flag per item)] of each named partition;
+    an item belongs to the partition of its last row. A dense item is one
+    row. LSTM items are the model's windows at `stride`, cut once per call
+    and never across a gap: from the test rows when the test partition is
+    asked for alone, otherwise from the healthy pool (train and val rows),
+    each window kept by its end row's partition."""
+    codes = [preprocess.PARTITIONS.index(part) for part in parts]
+    if isinstance(model, LstmAutoencoder):
+        full = np.empty((data.labels.size, data.train.shape[1]))
+        for code, part in enumerate(preprocess.PARTITIONS):
+            full[data.plan.parts == code] = getattr(data, part)
+        test = parts == ("test",)
+        rows = data.plan.test_indices if test else data.plan.pool_indices
+        windows, flags, ends = preprocess.partition_windows(
+            full, data.labels, rows, WindowSpec(model.window_length, stride))
+        del full
+        if test:
+            found = [(windows, ends, flags)]
+        else:
+            keeps = [data.plan.parts[ends] == code for code in codes]
+            found = [(windows[keep], ends[keep], flags[keep]) for keep in keeps]
+    else:
+        rows = [np.flatnonzero(data.plan.parts == code) for code in codes]
+        found = [(getattr(data, part), part_rows, data.labels[part_rows])
+                 for part, part_rows in zip(parts, rows)]
+    for part, (items, _rows, _flags) in zip(parts, found):
+        if items.shape[0] == 0:
+            raise ValidationError(f"the {part} partition yields no items")
+    return found
 
 
-def _test_items(data: Prepared, bundle: ModelBundle):
-    """(items, row index per item, fault flag per item) of the test
-    partition: its rows for a dense model, windows of the model's length at
-    its recipe's stride (each at its end row) for an LSTM."""
-    if data.test.shape[0] == 0:
-        raise ValidationError("test partition is empty")
-    model = bundle.model
-    if not isinstance(model, LstmAutoencoder):
-        rows = data.plan.test_indices
-        return data.test, rows, data.labels[rows]
-    windows, wlabels, ends = data.windows(data.plan.test_indices, model.window_length,
-                                          bundle.window_recipe.stride)
-    if windows.shape[0] == 0:
-        raise ValidationError("test partition is too short to window")
-    return windows, ends, wlabels
-
-
-def _load_bundle(config: RunConfig, thresholded: bool = True) -> ModelBundle:
-    """The model file of a later stage, which alone decides how items are
-    windowed and scored."""
+def _load_stage(config: RunConfig, thresholded: bool = True):
+    """(model file, prepared data) of a later stage. The model file alone
+    decides how items are windowed and scored, and it must carry the scaler
+    that scaled the prepared data."""
     bundle = load_model(config.model_path)
-    if isinstance(bundle.model, LstmAutoencoder) and bundle.window_recipe is None:
+    if isinstance(bundle.model, LstmAutoencoder) and bundle.window_stride is None:
         raise ValidationError(f"{config.model_path} records no window recipe; "
                               "re-run train")
     if thresholded and bundle.threshold is None:
         raise ValidationError("model has no fitted threshold; run `threshold` first")
-    return bundle
+    data = _load_prepared(config)
+    if data.scaler.to_doc() != bundle.scaler.to_doc():
+        raise ValidationError(f"{config.out_path / 'scaler.json'} differs from the "
+                              f"scaler in {config.model_path}; re-run train")
+    return bundle, data
 
 
 def _score(bundle: ModelBundle, items, indices,
@@ -395,22 +387,15 @@ def _score(bundle: ModelBundle, items, indices,
 
 def cmd_train(config: RunConfig) -> int:
     data = _load_prepared(config)
-    plan, d = data.plan, data.train.shape[1]
-    recipe = None
+    d = data.train.shape[1]
     if config.architecture == "dense_ae":
-        model = DenseAutoencoder(d=d, seed=config.seed)
-        train_items, val_items = data.train, data.val
-        train_labels = data.labels[plan.train_indices]
-        val_labels = data.labels[plan.validation_indices]
+        model, stride = DenseAutoencoder(d=d, seed=config.seed), None
     else:
         model = LstmAutoencoder(d=d, window_length=config.window_length,
                                 seed=config.seed)
-        recipe = WindowRecipe(config.window_stride, config.seed,
-                              config.validation_ratio)
-        windows, wlabels, _ends, val = _pool_windows(data, model, recipe)
-        train_items, train_labels = windows[~val], wlabels[~val]
-        val_items, val_labels = windows[val], wlabels[val]
-        del windows
+        stride = config.window_stride
+    (train_items, _, train_labels), (val_items, _, val_labels) = _items(
+        data, model, stride, "train", "val")
     trained, report, cov = training.train(
         model, train_items, val_items, config.train_config(),
         train_labels=train_labels, val_labels=val_labels,
@@ -418,8 +403,7 @@ def cmd_train(config: RunConfig) -> int:
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ModelBundle(trained, data.scaler, covariance=cov,
-                         window_recipe=recipe)
+    bundle = ModelBundle(trained, data.scaler, covariance=cov, window_stride=stride)
     save_model(bundle, config.model_path)
     report.write_csv(out / "train_report.csv")
     print(f"trained {config.architecture} for {report.epochs_run} epochs "
@@ -429,16 +413,9 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_threshold(config: RunConfig) -> int:
-    bundle = _load_bundle(config, thresholded=False)
-    data = _load_prepared(config)
-    if isinstance(bundle.model, LstmAutoencoder):
-        windows, _labels, ends, val = _pool_windows(data, bundle.model,
-                                                    bundle.window_recipe)
-        items, indices = windows[~val], ends[~val]
-        del windows
-    else:
-        items, indices = data.train, data.plan.train_indices
-    scores = _score(bundle, items, indices, from_training=True)
+    bundle, data = _load_stage(config, thresholded=False)
+    [(items, rows, _flags)] = _items(data, bundle.model, bundle.window_stride, "train")
+    scores = _score(bundle, items, rows, from_training=True)
     bundle.threshold = detector.fit_threshold(scores, config.alpha)
     save_model(bundle, config.model_path)
     print(f"threshold tau={bundle.threshold.tau!r} "
@@ -448,10 +425,9 @@ def cmd_threshold(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    bundle = _load_bundle(config)
-    data = _load_prepared(config)
-    items, indices, _truth = _test_items(data, bundle)
-    series = _score(bundle, items, indices)
+    bundle, data = _load_stage(config)
+    [(items, rows, _truth)] = _items(data, bundle.model, bundle.window_stride, "test")
+    series = _score(bundle, items, rows)
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
@@ -465,14 +441,17 @@ def cmd_detect(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    bundle = _load_bundle(config)
+    bundle, data = _load_stage(config)
     out = config.out_path
-    _items, expected, truth = _test_items(_load_prepared(config), bundle)
+    [(_, expected, truth)] = _items(data, bundle.model, bundle.window_stride, "test")
+    del data
     rows, flagged = array("q"), bytearray()
 
     def parse(row):
+        if row[3] not in ("0", "1"):
+            raise ValueError(f"flagged must be 0 or 1, got {row[3]!r}")
         rows.append(int(row[0]))
-        flagged.append(bool(int(row[3])))
+        flagged.append(row[3] == "1")
 
     dataset.read_table(out / "scores.csv", parse, SCORES_HEADER)
     indices = np.frombuffer(rows, dtype=np.int64)
@@ -512,9 +491,9 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_export_latent(config: RunConfig) -> int:
-    bundle = _load_bundle(config, thresholded=False)
-    data = _load_prepared(config)
-    items, indices, _truth = _test_items(data, bundle)
+    bundle, data = _load_stage(config, thresholded=False)
+    [(items, indices, _truth)] = _items(data, bundle.model, bundle.window_stride,
+                                        "test")
     latent = detector.extract_latent(bundle.model, items)
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@
 Model files are single JSON documents with flat row-major weight arrays plus
 shape metadata; the scaler (and threshold/covariance once fitted) travel
 inside the file so a model can never be deployed with the wrong normalization.
-An LSTM file also records the window recipe `train` used, so the later
+An LSTM file also records the window stride `train` used, so the later
 stages cut the same windows.
 """
 
@@ -67,9 +67,6 @@ class _LayerStack:
     def gradients(self):
         return [g for layer in self.layers for g in layer.gradients()]
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class DenseAutoencoder(_LayerStack):
     """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh."""
@@ -109,30 +106,6 @@ class LstmAutoencoder(_LayerStack):
         ])
 
 
-@dataclass(frozen=True)
-class WindowRecipe:
-    """How `train` cut an LSTM's training pool into windows: the stride, and
-    the seed and share of the window-level validation sample. `threshold`
-    cuts the same training windows from it, and the later stages window the
-    test rows at its stride."""
-
-    stride: int
-    seed: int
-    validation_ratio: float
-
-    def __post_init__(self):
-        if self.stride < 1 or self.seed < 0 or not 0.0 <= self.validation_ratio < 1.0:
-            raise ValidationError(
-                "window stride must be >= 1, seed >= 0 and validation_ratio "
-                f"in [0, 1); got {self}"
-            )
-
-    @classmethod
-    def from_doc(cls, doc) -> WindowRecipe:
-        return cls(operator.index(doc["stride"]), operator.index(doc["seed"]),
-                   float(doc["validation_ratio"]))
-
-
 @dataclass
 class ModelBundle:
     """A trained model plus everything needed to deploy it."""
@@ -141,7 +114,7 @@ class ModelBundle:
     scaler: ScalerParams
     threshold: ThresholdSpec | None = None
     covariance: CovarianceModel | None = None
-    window_recipe: WindowRecipe | None = None
+    window_stride: int | None = None  # LSTM only: the stride `train` windowed at
 
 
 def _layer_fields(layer) -> tuple[dict, dict]:
@@ -175,7 +148,7 @@ def _layer_doc(layer) -> dict:
 def _doc_array(doc: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         flat = np.asarray(doc[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad or missing weight field {key!r}") from exc
     if flat.size != int(np.prod(shape)):
         raise ModelFormatError(
@@ -212,8 +185,8 @@ def to_document(bundle: ModelBundle) -> dict:
     }
     if isinstance(model, LstmAutoencoder):
         doc["T"] = model.window_length
-    if bundle.window_recipe is not None:
-        doc["window_recipe"] = asdict(bundle.window_recipe)
+    if bundle.window_stride is not None:
+        doc["window_recipe"] = {"stride": bundle.window_stride}
     doc["layers"] = [_layer_doc(layer) for layer in model.layers]
     doc["scaler"] = bundle.scaler.to_doc()
     if bundle.threshold is not None:
@@ -239,7 +212,7 @@ def _block(doc: dict, key: str, parse):
     """parse(doc[key]); a missing or malformed block is a ModelFormatError."""
     try:
         return parse(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file has a bad {key} block") from exc
 
 
@@ -252,6 +225,15 @@ def _covariance(cdoc) -> CovarianceModel:
     cd = int(cdoc["d"])
     return CovarianceModel.from_sigma(_doc_array(cdoc, "sigma", (cd, cd)),
                                       float(cdoc["epsilon"]))
+
+
+def _stride(rdoc) -> int:
+    """The window recipe's stride; keys that older files also wrote (the
+    seed and share of a window-level validation draw) are ignored."""
+    stride = operator.index(rdoc["stride"])
+    if stride < 1:
+        raise ValueError(f"window stride must be >= 1, got {stride}")
+    return stride
 
 
 def from_document(doc: dict) -> ModelBundle:
@@ -282,7 +264,7 @@ def from_document(doc: dict) -> ModelBundle:
         model, scaler,
         _block(doc, "threshold", _threshold) if "threshold" in doc else None,
         _block(doc, "covariance", _covariance) if "covariance" in doc else None,
-        _block(doc, "window_recipe", WindowRecipe.from_doc)
+        _block(doc, "window_recipe", _stride)
         if "window_recipe" in doc else None,
     )
 
@@ -297,7 +279,7 @@ def load_model(path) -> ModelBundle:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # undecodable bytes too
+        except (ValueError, RecursionError) as exc:  # undecodable bytes too
             raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")

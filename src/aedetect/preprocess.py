@@ -47,8 +47,9 @@ class ScalerParams:
 
     @classmethod
     def from_doc(cls, doc) -> ScalerParams:
-        """Inverse of `to_doc`; a malformed block raises KeyError, TypeError
-        or ValueError, which each reader reports in its own terms."""
+        """Inverse of `to_doc`; a malformed block raises KeyError, TypeError,
+        ValueError or OverflowError, which each reader reports in its own
+        terms."""
         return cls(np.asarray(doc["min"], dtype=np.float64),
                    np.asarray(doc["max"], dtype=np.float64),
                    int(doc["fitted_on"]))
@@ -212,26 +213,6 @@ def plan_split(
     rng = np.random.default_rng(seed)
     parts[rng.choice(pool, size=int(validation_ratio * pool.size), replace=False)] = 1
     return SplitPlan(parts)
-
-
-def make_windows(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    spec: WindowSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sliding windows over a contiguous block.
-
-    Returns (windows, window_labels, window_end_indices); window i covers rows
-    [i*stride, i*stride + length) and is labelled anomalous if any frame is.
-    """
-    x = np.asarray(matrix, dtype=np.float64)
-    flags = np.asarray(labels, dtype=bool)
-    n = x.shape[0]
-    if flags.shape[0] != n:
-        raise ValidationError("labels must align 1:1 with matrix rows")
-    if n < spec.length:
-        raise ValidationError(f"need at least {spec.length} rows to window, got {n}")
-    return partition_windows(x, flags, np.arange(n), spec)
 
 
 def contiguous_runs(rows: np.ndarray) -> list[np.ndarray]:

@@ -26,7 +26,6 @@ from aedetect import (
     label_samples,
     confusion,
     mahalanobis_loss,
-    make_windows,
     matrix_inverse_sqrt,
     metrics,
     mse_loss,
@@ -149,7 +148,8 @@ def test_acceptance_2_oracle_equivalence():
         if n < t:
             continue
         flags = rng.random(n) < 0.3
-        _, labels, ends = make_windows(np.zeros((n, 1)), flags, WindowSpec(t, stride))
+        _, labels, ends = partition_windows(np.zeros((n, 1)), flags, np.arange(n),
+                                             WindowSpec(t, stride))
         for k in range(labels.size):
             lo = k * stride
             assert labels[k] == any(flags[lo : lo + t])

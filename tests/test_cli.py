@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aedetect import training
 from aedetect.cli import (
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
     LABELS_HEADER,
     RunConfig,
+    _items,
+    _load_prepared,
     _read_labels,
     main,
     resolve_config,
@@ -25,6 +29,8 @@ from aedetect.cli import (
 )
 from aedetect.dataset import SensorLog, format_timestamps, write_sensor_csv, write_table
 from aedetect.errors import ParseError
+from aedetect.models import LstmAutoencoder
+from aedetect.preprocess import PARTITIONS, read_matrix_csv, read_split_plan
 
 
 def run(args):
@@ -73,6 +79,25 @@ def pipeline_dir(tmp_path_factory):
                 "--train.max_epochs", 6]) == EXIT_OK
     assert run(["threshold", "--out-dir", out, "--seed", 5]) == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def scored_dir(pipeline_dir, tmp_path_factory):
+    """A copy of `pipeline_dir` after `detect`, so it holds every
+    intermediate file."""
+    out = shutil.copytree(pipeline_dir, tmp_path_factory.mktemp("scored") / "run")
+    assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_OK
+    return out
+
+
+# the pipeline stages that read each intermediate file
+LATER_STAGES = ("threshold", "detect", "eval", "export-latent")
+FILE_READERS = {
+    **{name: ("train",) + LATER_STAGES
+       for name in ("train.csv", "val.csv", "test.csv", "scaler.json")},
+    "model.json": LATER_STAGES,
+    "scores.csv": ("eval",),
+}
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +269,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, text", (
         ("scaler.json", "{"),
         ("scaler.json", '{"min": [0.0]}'),
+        ("scaler.json", '{"min": [0.0], "max": [1.0], "fitted_on": 1e999}'),
+        *(pytest.param(name, "[" * 100_000, id=f"{name}-deep-nesting")
+          for name in ("scaler.json", "model.json")),
         ("split_plan.csv", "row_index,partition\nx,train\n"),
         ("split_plan.csv", "row_index,partition\n0\n"),
         ("test.csv", "a,b,c,d,e,f,g,h\n"),
@@ -259,6 +287,7 @@ class TestExitCodes:
         *(pytest.param("labels.csv", set_cell(2, value), id=f"labels.csv-label-{value}")
           for value in ("2", "-1", "01")),
         pytest.param("scores.csv", set_cell(0, "9" * 30), id="scores.csv-huge-index"),
+        pytest.param("scores.csv", set_cell(3, "7"), id="scores.csv-flag-7"),
     ))
     def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
                                                   capsys, name, text):
@@ -373,6 +402,55 @@ class TestExitCodes:
         assert code in (EXIT_OK, EXIT_VALIDATION)
         if code == EXIT_VALIDATION:
             assert "sensor.csv" in err.getvalue()
+
+    # each intermediate file that the per-row fuzz above leaves out gets a
+    # span of its bytes replaced, is cut short, or loses or repeats a line,
+    # then goes through one stage that reads it
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_intermediate_file_mutation_exits_0_to_3(self, scored_dir, data):
+        name = data.draw(st.sampled_from(sorted(FILE_READERS)), label="file")
+        stage = data.draw(st.sampled_from(FILE_READERS[name]), label="stage")
+        original = (scored_dir / name).read_bytes()
+        size = len(original)
+        kind = data.draw(st.sampled_from(("splice", "cut", "drop", "double")))
+        if kind == "splice":
+            start = data.draw(st.integers(0, size))
+            end = data.draw(st.integers(start, min(size, start + 16)))
+            blob = data.draw(st.one_of(st.binary(max_size=8), st.sampled_from(
+                (b",", b"\n", b'"', b"{", b"]", b"-", b"nan", b"inf", b"1e999",
+                 b"null", b"true", b"[]", b"\xff"))))
+            mutated = original[:start] + blob + original[end:]
+        elif kind == "cut":
+            mutated = original[:data.draw(st.integers(0, size - 1))]
+        else:
+            lines = original.splitlines(keepends=True)
+            k = data.draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [] if kind == "drop" else [lines[k]] * 2
+            mutated = b"".join(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = shutil.copytree(scored_dir, Path(tmp) / "run")
+            (out / name).write_bytes(mutated)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([stage, "--out-dir", str(out), "--seed", "5",
+                             "--train.max_epochs", "1"])
+        assert code in (EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NUMERIC)
+
+    def test_scaler_of_another_prepare_is_validation_error(self, pipeline_dir,
+                                                           tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        assert run(["prepare", "--out-dir", out, "--seed", 5,
+                    "--paths.sensor_csv", out / "sensor.csv",
+                    "--paths.fault_csv", out / "faults.csv",
+                    "--pipeline.train_ratio", 0.5]) == EXIT_OK
+        for stage in ("threshold", "detect", "eval", "export-latent"):
+            capsys.readouterr()
+            assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"{out / 'scaler.json'} differs from the scaler in " \
+                f"{out / 'model.json'}" in err
 
     @pytest.mark.parametrize("architecture", ("dense_ae", "lstm_ae"))
     def test_matrix_of_another_width_is_parse_error(self, pipeline_dir, tmp_path,
@@ -573,11 +651,14 @@ class TestMahalanobisPipeline:
 # one of digest 7bf7a19f9ccdb6c1. LSTM weights depend on the BLAS thread
 # count; the mse_window digests were re-recorded at the one OpenBLAS thread
 # that `conftest.py` pins (at two threads they read a9437520a73be693 and
-# a5d81cf6a32f48b3).
+# a5d81cf6a32f48b3). They were re-recorded again (from 599e6d5b2353b4aa and
+# 45582339c0cced74) when an LSTM window came to belong to its end row's
+# partition in place of a seeded window-level validation draw; metrics.csv
+# kept its bytes.
 GOLDEN = {
     "mse_point": {"model.json": "c7c69689758628f2", "scores.csv": "12121dcd3b5052b7",
                   "metrics.csv": "4b54a8d7eb80316b"},
-    "mse_window": {"model.json": "599e6d5b2353b4aa", "scores.csv": "45582339c0cced74",
+    "mse_window": {"model.json": "d6cbd4e83a9eaa4a", "scores.csv": "67e0d592b7ef4203",
                    "metrics.csv": "056e67315338bd4f"},
     "mahalanobis": {"model.json": "c6c33f8d00c6be3a", "scores.csv": "1b7548dffe2088d2",
                     "metrics.csv": "d5b54cbc241c723b"},
@@ -692,3 +773,61 @@ class TestModelFileDecidesScoreKind:
         capsys.readouterr()
         assert run(["threshold", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert "re-run train" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def lstm_run(gappy_dir, tmp_path_factory):
+    """The `gappy_dir` files after an LSTM train and threshold, and the items
+    `train` handed to `training.train`."""
+    out = shutil.copytree(gappy_dir, tmp_path_factory.mktemp("lstm") / "run")
+    seen, real = {}, training.train
+
+    def spy(model, train_items, val_items, config, **labels):
+        seen.update(train=train_items, val=val_items)
+        return real(model, train_items, val_items, config, **labels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "train", spy)
+        run_stages(out, ("train", "threshold"), GOLDEN_FLAGS["mse_window"])
+    return out, seen
+
+
+def healthy_window_ends(parts, length=5):
+    """Mask of the rows that end a run of `length` pool rows (stride 1)."""
+    pool = parts != PARTITIONS.index("test")
+    ends = np.zeros(parts.size, dtype=bool)
+    runs = np.lib.stride_tricks.sliding_window_view(pool, length)
+    ends[length - 1:] = runs.all(axis=1)
+    return ends
+
+
+class TestLstmItems:
+    """An LSTM window belongs to the partition of its last row, as a dense
+    item does."""
+
+    def test_windows_belong_to_their_end_rows_partition(self, lstm_run):
+        out, seen = lstm_run
+        plan = read_split_plan(out / "split_plan.csv")
+        full = np.empty((plan.parts.size, 8))
+        for code, part in enumerate(PARTITIONS):
+            full[plan.parts == code] = read_matrix_csv(out / f"{part}.csv")[0]
+        data = _load_prepared(RunConfig(out_dir=str(out)))
+        found = _items(data, LstmAutoencoder(8, 5), 1, "train", "val")
+        for code, part in enumerate(("train", "val")):
+            items, rows, _flags = found[code]
+            assert np.array_equal(items, seen[part])
+            assert (plan.parts[rows] == code).all()
+            for window, end in zip(items, rows):
+                span = slice(end - 4, end + 1)
+                assert (plan.parts[span] != PARTITIONS.index("test")).all()
+                assert np.array_equal(window, full[span])
+        # every healthy window is a training or a validation item
+        assert len(found[0][1]) + len(found[1][1]) \
+            == np.count_nonzero(healthy_window_ends(plan.parts))
+
+    def test_threshold_fits_on_the_train_partition_windows(self, lstm_run):
+        out, _seen = lstm_run
+        parts = read_split_plan(out / "split_plan.csv").parts
+        threshold = json.loads((out / "model.json").read_text())["threshold"]
+        assert threshold["fitted_on"] == np.count_nonzero(
+            healthy_window_ends(parts) & (parts == PARTITIONS.index("train")))

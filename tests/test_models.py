@@ -9,7 +9,6 @@ from aedetect.models import (
     DenseAutoencoder,
     LstmAutoencoder,
     ModelBundle,
-    WindowRecipe,
     from_document,
     load_model,
     save_model,
@@ -59,7 +58,8 @@ class TestDenseAutoencoder:
         sizes = [51, 36, 12, 8, 12, 36, 51]
         expected = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
         assert expected == 4883
-        assert DenseAutoencoder(d=51, seed=0).parameter_count() == expected
+        assert sum(p.size for p in DenseAutoencoder(d=51, seed=0).parameters()) \
+            == expected
 
     def test_latent_width_is_bottleneck(self):
         assert DenseAutoencoder(d=20, seed=0).latent_width == 8
@@ -122,6 +122,16 @@ class TestSerialization:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_window_recipe_holds_the_stride(self):
+        bundle = ModelBundle(LstmAutoencoder(d=3, window_length=4, seed=0),
+                             make_scaler(3), window_stride=2)
+        doc = to_document(bundle)
+        assert doc["window_recipe"] == {"stride": 2}
+        # older files also record the seed and share of a window-level
+        # validation draw, which no stage reads
+        doc["window_recipe"].update(seed=5, validation_ratio=0.2)
+        assert from_document(doc).window_stride == 2
+
     def test_forward_identical_after_reload(self, tmp_path):
         model = LstmAutoencoder(d=4, window_length=5, seed=7)
         x = np.random.default_rng(3).random((2, 5, 4))
@@ -164,7 +174,7 @@ class TestSerialization:
             bundle = ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3))
         else:
             bundle = ModelBundle(LstmAutoencoder(d=3, window_length=4, seed=0),
-                                 make_scaler(3), window_recipe=WindowRecipe(1, 5, 0.2))
+                                 make_scaler(3), window_stride=1)
         doc = to_document(bundle)
         corrupt(doc)
         with pytest.raises(ModelFormatError):
@@ -184,6 +194,21 @@ class TestSerialization:
         ident = loaded.covariance.sigma_inv_sqrt @ loaded.covariance.sigma_inv_sqrt \
             @ sigma
         assert np.allclose(ident, np.eye(2), atol=1e-10)
+
+    # JSON numbers that no float or int holds: 1e999 reads as inf
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["threshold"].update(fitted_on=1e999),
+        lambda doc: doc["threshold"].update(alpha=10 ** 400),
+        lambda doc: doc["scaler"].update(fitted_on=1e999),
+        lambda doc: doc["layers"][0]["W"].__setitem__(0, 10 ** 400),
+    ], ids=["fitted-on-inf", "alpha-huge-int", "scaler-fitted-on-inf",
+            "weight-huge-int"])
+    def test_out_of_range_number_is_format_error(self, corrupt):
+        doc = to_document(ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3),
+                                      ThresholdSpec(95.0, 0.5, "mse_point", 10)))
+        corrupt(doc)
+        with pytest.raises(ModelFormatError):
+            from_document(doc)
 
     def test_scaler_dimension_checked(self, tmp_path):
         model = DenseAutoencoder(d=3, seed=0)

@@ -16,7 +16,6 @@ from aedetect.preprocess import (
     fit_scaler,
     impute_cascade,
     invert_scaler,
-    make_windows,
     partition_windows,
     plan_split,
     read_matrix_csv,
@@ -262,32 +261,35 @@ class TestPlanSplit:
                 SplitPlan(np.array(parts))
 
 
+def block_windows(matrix, labels, spec):
+    """`partition_windows` over one contiguous block, rows 0..n-1."""
+    return partition_windows(matrix, labels, np.arange(len(labels)), spec)
+
+
 class TestMakeWindows:
+    """Windows over one contiguous block of rows."""
+
     def test_count_formula(self):
-        w, labels, ends = make_windows(np.zeros((7, 2)), np.zeros(7, dtype=bool),
-                                       WindowSpec(5, 1))
+        w, labels, ends = block_windows(np.zeros((7, 2)), np.zeros(7, dtype=bool),
+                                        WindowSpec(5, 1))
         assert w.shape == (3, 5, 2)
         assert ends.tolist() == [4, 5, 6]
 
     def test_or_labels(self):
         flags = np.array([0, 0, 0, 1, 0, 0, 0], dtype=bool)
-        _, labels, _ = make_windows(np.zeros((7, 1)), flags, WindowSpec(5, 1))
+        _, labels, _ = block_windows(np.zeros((7, 1)), flags, WindowSpec(5, 1))
         assert labels.tolist() == [True, True, True]
 
     def test_single_window_is_whole_matrix(self):
         matrix = np.arange(10.0).reshape(5, 2)
-        w, labels, ends = make_windows(matrix, np.zeros(5, dtype=bool),
-                                       WindowSpec(5, 1))
+        w, labels, ends = block_windows(matrix, np.zeros(5, dtype=bool),
+                                        WindowSpec(5, 1))
         assert w.shape == (1, 5, 2)
         assert np.array_equal(w[0], matrix)
 
-    def test_too_short_is_error(self):
-        with pytest.raises(ValidationError):
-            make_windows(np.zeros((3, 1)), np.zeros(3, dtype=bool), WindowSpec(5, 1))
-
     def test_stride(self):
-        w, _, ends = make_windows(np.zeros((11, 1)), np.zeros(11, dtype=bool),
-                                  WindowSpec(3, 2))
+        w, _, ends = block_windows(np.zeros((11, 1)), np.zeros(11, dtype=bool),
+                                   WindowSpec(3, 2))
         assert w.shape[0] == 5
         assert ends.tolist() == [2, 4, 6, 8, 10]
 
@@ -301,7 +303,7 @@ class TestMakeWindows:
             st.lists(st.booleans(), min_size=n, max_size=n)))
         if n < t:
             return
-        _, labels, ends = make_windows(np.zeros((n, 1)), flags, WindowSpec(t, stride))
+        _, labels, ends = block_windows(np.zeros((n, 1)), flags, WindowSpec(t, stride))
         for k in range(labels.size):
             lo = k * stride
             assert labels[k] == any(flags[lo : lo + t])
