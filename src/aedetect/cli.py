@@ -251,7 +251,7 @@ def cmd_prepare(config: RunConfig) -> int:
                                     out / f"{part}.csv")
     preprocess.write_split_plan(plan, out / "split_plan.csv")
     dataset.write_table(out / "labels.csv", LABELS_HEADER, (
-        [i, stamp, int(flag)] for i, (stamp, flag)
+        f"{i},{stamp},{int(flag)}" for i, (stamp, flag)
         in enumerate(zip(dataset.format_timestamps(stamps), labels))))
     with open(out / "scaler.json", "w", encoding="utf-8") as fh:
         json.dump(scaler.to_doc(), fh, indent=1)
@@ -433,7 +433,7 @@ def cmd_detect(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stamps = dataset.format_timestamps(data.stamps[series.indices])
     dataset.write_table(out / "scores.csv", SCORES_HEADER, (
-        [int(i), stamp, repr(float(score)), int(flag)] for i, stamp, score, flag
+        f"{int(i)},{stamp},{float(score)!r},{int(flag)}" for i, stamp, score, flag
         in zip(series.indices, stamps, series.scores, flags)))
     print(f"scored {len(series)} test items ({series.kind}); "
           f"{int(flags.sum())} flagged")
@@ -500,7 +500,7 @@ def cmd_export_latent(config: RunConfig) -> int:
     dataset.write_table(
         out / "latent.csv",
         ["index", "timestamp"] + [f"z{k + 1}" for k in range(latent.shape[1])],
-        ([int(i), stamp] + [repr(float(v)) for v in row] for i, stamp, row
+        (",".join((str(int(i)), stamp, *map(repr, row.tolist()))) for i, stamp, row
          in zip(indices, dataset.format_timestamps(data.stamps[indices]), latent)))
     print(f"exported {latent.shape[0]} latent vectors "
           f"(width {latent.shape[1]}) to {out / 'latent.csv'}")

@@ -2,8 +2,9 @@
 every pipeline file goes through.
 
 File formats:
-- every CSV (`write_table`/`read_table`): UTF-8, a header row, and every
-  non-empty row with the header's field count.
+- every CSV (`write_table`/`read_table`): UTF-8, a header row quoted by
+  csv where a cell needs it, and every non-empty row with the header's field
+  count; body cells are never quoted.
 - sensor CSV: column 1 a timestamp "YYYY-MM-DD HH:MM" (any form that
   strptime reads with that format, e.g. "2024-1-1 0:5", is accepted too),
   remaining columns numeric; empty fields or "NaN" mark missing cells.
@@ -41,13 +42,20 @@ FORMAT_BLOCK = 4096
 ONE_MINUTE = np.timedelta64(1, "m")
 
 
-def write_table(path, header, rows) -> None:
-    """One CSV table: UTF-8, the header row, then each row of the iterable
-    `rows` as it comes."""
+def write_table(path, header, lines) -> None:
+    """One CSV table: UTF-8, the header row as csv.writer writes it, then
+    each string of the iterable `lines` as one body row, written as given and
+    ended with "\r\n", csv's row terminator.
+
+    Header cells are quoted where csv needs it, since channel names come from
+    the user's log. Body cells are never quoted: the caller joins them with
+    ",", and every body cell of a pipeline file is a float repr, an int, a
+    canonical stamp or a fixed name, none of which holds a comma, a quote or
+    a line break. So the bytes are those csv.writer writes for the same
+    cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 def read_table(path, parse, header=None, indexed=False) -> tuple[list[str], list]:
@@ -250,14 +258,26 @@ class FaultSchedule:
     intervals: tuple[tuple[np.datetime64, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        normalized = []
-        for start, duration in self.intervals:
-            duration = int(duration)
-            if duration <= 0:
-                raise ValidationError(f"fault duration must be > 0, got {duration}")
-            normalized.append((np.datetime64(start, "m"), duration))
-        normalized.sort(key=lambda iv: iv[0])
+        normalized = sorted((_fault_interval(start, duration)
+                             for start, duration in self.intervals),
+                            key=lambda iv: iv[0])
         object.__setattr__(self, "intervals", tuple(normalized))
+
+
+def _fault_interval(start, duration) -> tuple[np.datetime64, int]:
+    """(start, duration) as FaultSchedule holds them; ValidationError unless
+    the duration is a positive minute count and `label_samples` can compute
+    the interval's end: the duration fits a timedelta64 and the end fits a
+    datetime64, both int64 minute counts that numpy wraps silently."""
+    start, duration = np.datetime64(start, "m"), int(duration)
+    if duration <= 0:
+        raise ValidationError(f"fault duration must be > 0, got {duration}")
+    last = np.iinfo(np.int64).max
+    if duration > min(last, last - int(start.astype(np.int64))):
+        raise ValidationError(f"fault of {duration} minutes from "
+                              f"{format_timestamp(start)} ends past the last "
+                              "minute datetime64 can hold")
+    return start, duration
 
 
 def _check_sensor_row(row) -> None:
@@ -312,27 +332,26 @@ def load_sensor_csv(path) -> SensorLog:
 
 
 def write_sensor_csv(log: SensorLog, path) -> None:
-    """Write a SensorLog back to CSV; finite cells round-trip bit-exactly."""
+    """Write a SensorLog back to CSV; finite cells round-trip bit-exactly and
+    missing cells are written empty. Each line's "nan" cells are emptied by
+    one `replace`: a stamp or the repr of a finite float never holds "nan",
+    and a SensorLog holds no infinity."""
     write_table(path, ("timestamp",) + log.channel_names, (
-        [stamp] + ["" if math.isnan(x) else repr(x) for x in row.tolist()]
+        ",".join((stamp, *map(repr, row.tolist()))).replace("nan", "")
         for stamp, row in zip(format_timestamps(log.timestamps), log.values)))
 
 
 def load_fault_intervals(path) -> FaultSchedule:
     """Load a fault CSV with columns start,duration_minutes."""
 
-    def parse(row):
-        start, duration = _parse_timestamp(row[0]), int(row[1])
-        if duration <= 0:
-            raise ValueError("duration must be a positive minute count")
-        return start, duration
-
-    _, intervals = read_table(path, parse, FAULT_HEADER)
+    _, intervals = read_table(
+        path, lambda row: _fault_interval(_parse_timestamp(row[0]), int(row[1])),
+        FAULT_HEADER)
     return FaultSchedule(tuple(intervals))
 
 
 def write_fault_intervals(schedule: FaultSchedule, path) -> None:
-    write_table(path, FAULT_HEADER, ((format_timestamp(start), duration)
+    write_table(path, FAULT_HEADER, (f"{format_timestamp(start)},{duration}"
                                      for start, duration in schedule.intervals))
 
 

@@ -101,5 +101,5 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
         ("specificity", report.specificity),
         ("f1", report.f1),
     ]
-    write_table(path, ["metric", "value"],
-                ((name, "" if value is None else repr(value)) for name, value in rows))
+    write_table(path, ["metric", "value"], (
+        f"{name},{'' if value is None else repr(value)}" for name, value in rows))

@@ -265,7 +265,7 @@ def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:
     x = np.asarray(matrix, dtype=np.float64)
     if np.isnan(x).any() or np.isinf(x).any():
         raise ValidationError("prepared matrices must be fully finite")
-    write_table(path, channel_names, (map(repr, row.tolist()) for row in x))
+    write_table(path, channel_names, (",".join(map(repr, row.tolist())) for row in x))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -298,8 +298,9 @@ SPLIT_PLAN_HEADER = ("row_index", "partition")
 
 def write_split_plan(plan: SplitPlan, path) -> None:
     """SplitPlan file: CSV of (row_index, partition), one row per log row."""
-    write_table(path, SPLIT_PLAN_HEADER,
-                ((i, PARTITIONS[part]) for i, part in enumerate(plan.parts.tolist())))
+    # the codes' bytes, one per row, iterate as the codes' ints, with no list
+    write_table(path, SPLIT_PLAN_HEADER, (
+        f"{i},{PARTITIONS[part]}" for i, part in enumerate(plan.parts.tobytes())))
 
 
 def read_split_plan(path) -> SplitPlan:

@@ -93,7 +93,7 @@ class TrainReport:
     def write_csv(self, path) -> None:
         rows = zip(self.train_losses, self.val_losses, self.learning_rates)
         write_table(path, ["epoch", "train_loss", "val_loss", "learning_rate"],
-                    ([epoch, repr(tr), repr(va), repr(lr)]
+                    (f"{epoch},{tr!r},{va!r},{lr!r}"
                      for epoch, (tr, va, lr) in enumerate(rows, start=1)))
 
 

@@ -116,8 +116,9 @@ def labels_file(path, n, edits=None):
     the flags and stamps written."""
     flags = np.arange(n) % 11 == 3
     stamps = np.datetime64("2024-01-01T00:00", "m") + np.arange(n)
-    write_table(path, LABELS_HEADER, ([i, stamp, int(flag)] for i, (stamp, flag)
-                                      in enumerate(zip(format_timestamps(stamps), flags))))
+    write_table(path, LABELS_HEADER, (
+        f"{i},{stamp},{int(flag)}" for i, (stamp, flag)
+        in enumerate(zip(format_timestamps(stamps), flags))))
     lines = path.read_bytes().split(b"\r\n")
     for k, edit in (edits or {}).items():
         lines[k - 1] = edit(lines[k - 1])
@@ -452,6 +453,22 @@ class TestExitCodes:
             assert f"{out / 'scaler.json'} differs from the scaler in " \
                 f"{out / 'model.json'}" in err
 
+    @pytest.mark.parametrize("duration", (2**63 - 1, 10**30), ids=("wraps", "huge"))
+    def test_fault_end_past_datetime64_is_parse_error(self, pipeline_dir, tmp_path,
+                                                      capsys, duration):
+        # the first once labelled no row and exited 0, the second escaped as
+        # an OverflowError traceback
+        faults = tmp_path / "faults.csv"
+        faults.write_bytes((pipeline_dir / "faults.csv").read_bytes()
+                           + f"2024-01-01 10:00,{duration}\r\n".encode())
+        rows = len(read_rows(faults))
+        capsys.readouterr()
+        assert run(["prepare", "--out-dir", tmp_path, "--seed", 5,
+                    "--paths.sensor_csv", pipeline_dir / "sensor.csv",
+                    "--paths.fault_csv", faults]) == EXIT_VALIDATION
+        assert f"{faults}: row {rows}: fault of {duration} minutes" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("architecture", ("dense_ae", "lstm_ae"))
     def test_matrix_of_another_width_is_parse_error(self, pipeline_dir, tmp_path,
                                                     capsys, architecture):
@@ -665,11 +682,13 @@ GOLDEN = {
 }
 # the same for every CSV table writer: synth and prepare (the `gappy_dir`
 # files), then train -> export-latent of the mse_point run; recorded before
-# the writers moved onto one table codec
+# the writers moved onto one table codec, val.csv and test.csv before the
+# writers joined each body line themselves instead of calling csv.writer
 GOLDEN_TABLES = {
     "sensor.csv": "8612970063b1e47d", "faults.csv": "f9c295199bd8cc5d",
     "labels.csv": "38f7fe68ab46984a", "split_plan.csv": "2867250c04d73dc0",
-    "train.csv": "e5393fe7bdf6a2af", "train_report.csv": "782e9b627efba25a",
+    "train.csv": "e5393fe7bdf6a2af", "val.csv": "94a63cb735aa9b70",
+    "test.csv": "ff30bc3d4cb971cf", "train_report.csv": "782e9b627efba25a",
     "latent.csv": "c117219f820728f4",
 }
 GOLDEN_FLAGS = {

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import tracemalloc
 
@@ -22,6 +24,7 @@ from aedetect.errors import (
     SpacingError,
     ValidationError,
 )
+from aedetect.preprocess import write_matrix_csv
 
 
 def minute_range(start, n):
@@ -32,6 +35,15 @@ def write(tmp_path, text, name="log.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def csv_bytes(header, rows) -> bytes:
+    """The header and rows as csv.writer writes them in UTF-8."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 class TestLoadSensorCsv:
@@ -291,6 +303,33 @@ class TestFaultIntervals:
         with pytest.raises(ParseError, match="faults.csv"):
             load_fault_intervals(path)
 
+    # the end of the first wraps past int64 to a minute before the log; the
+    # second does not fit int64 at all
+    @pytest.mark.parametrize("duration", (2**63 - 1, 10**30), ids=("wraps", "huge"))
+    def test_end_past_datetime64_names_file_and_row(self, tmp_path, duration):
+        path = write(tmp_path, "start,duration_minutes\n2024-01-01 00:00,5\n"
+                               f"2024-01-01 10:00,{duration}\n", "faults.csv")
+        with pytest.raises(ParseError, match="faults.csv: row 3: fault of "
+                                             f"{duration} minutes from 2024-01-01 "
+                                             "10:00 ends past the last minute"):
+            load_fault_intervals(path)
+
+    @pytest.mark.parametrize("start, duration", (
+        ("2024-01-01T10:00", 2**63 - 1),
+        ("2024-01-01T10:00", 10**30),
+        ("1960-01-01T00:00", 2**63),  # ends in range, but no timedelta64 holds it
+    ), ids=("wraps", "huge", "before-1970"))
+    def test_schedule_rejects_end_past_datetime64(self, start, duration):
+        with pytest.raises(ValidationError, match="ends past the last minute"):
+            FaultSchedule(((np.datetime64(start, "m"), duration),))
+
+    def test_last_representable_end_is_kept(self):
+        start = np.datetime64("2024-01-01T10:00", "m")
+        duration = 2**63 - 1 - int(start.astype(np.int64))
+        log = SensorLog(minute_range("2024-01-01T09:58", 4), ("a",), np.zeros((4, 1)))
+        flags = label_samples(log, FaultSchedule(((start, duration),)))
+        assert flags.tolist() == [False, False, True, True]
+
     def test_intervals_sorted(self):
         schedule = FaultSchedule((
             (np.datetime64("2024-01-02T00:00", "m"), 5),
@@ -313,13 +352,54 @@ CORRUPT_BYTES = {
 class TestTable:
     def test_round_trip_skips_blank_rows(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["k", "v"], (("a", 0.1), ("b,c", repr(2.0))))
-        assert path.read_bytes() == b'k,v\r\na,0.1\r\n"b,c",2.0\r\n'
+        write_table(path, ["k", 'v,"w"'], ("a,0.1", "b,2.0"))
+        assert path.read_bytes() == b'k,"v,""w"""\r\na,0.1\r\nb,2.0\r\n'
         path.write_bytes(path.read_bytes() + b"\r\n\r\nd,3\r\n")
         header, rows = read_table(path, lambda row: (row[0], float(row[1])),
-                                  ("k", "v"))
-        assert header == ["k", "v"]
-        assert rows == [("a", 0.1), ("b,c", 2.0), ("d", 3.0)]
+                                  ("k", 'v,"w"'))
+        assert header == ["k", 'v,"w"']
+        assert rows == [("a", 0.1), ("b", 2.0), ("d", 3.0)]
+
+    def test_writers_write_the_bytes_of_csv_writer(self, tmp_path):
+        # each line is joined by its caller and never quoted; the reference is
+        # csv.writer over the same cells, a missing sensor cell empty
+        edge = [np.nan, -0.0, 5e-324, 1e16, 1e-05, -1.5e300, 0.1, 2.0]
+        values = np.array([edge, [np.nan] * 8, edge[::-1]])
+        names = ('a,"b"', "c", " d", "e\tf", "g", "h", "i", "j")
+        log = SensorLog(minute_range("2024-01-01T00:00", 3), names, values)
+        stamps = ["2024-01-01 00:00", "2024-01-01 00:01", "2024-01-01 00:02"]
+        write_sensor_csv(log, tmp_path / "sensor.csv")
+        assert (tmp_path / "sensor.csv").read_bytes() == csv_bytes(
+            ("timestamp",) + names,
+            [[stamp] + ["" if np.isnan(x) else repr(x) for x in row]
+             for stamp, row in zip(stamps, values.tolist())])
+        assert (tmp_path / "sensor.csv").read_bytes().startswith(
+            b'timestamp,"a,""b""",c, d,e\tf,')
+
+        finite = np.array([edge[1:], edge[:0:-1]])
+        write_matrix_csv(finite, names[1:], tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == csv_bytes(
+            names[1:], [[repr(x) for x in row] for row in finite.tolist()])
+
+    @pytest.mark.parametrize("write, make_args, bound", (
+        (write_sensor_csv, lambda log, path: (log, path), 2_000_000),
+        (write_matrix_csv, lambda log, path: (np.nan_to_num(log.values),
+                                              log.channel_names, path), 1_000_000),
+    ), ids=("sensor", "matrix"))
+    def test_writer_peak_memory(self, tmp_path, write, make_args, bound):
+        # writers that built one list over a whole column (stamps, cells or
+        # lines) of this 20 000-row log peaked at 2.4-4.5 MB (tracemalloc);
+        # one row at a time, the sensor writer peaks at 1.3 MB, most of it
+        # one block of formatted stamps, and the matrix writer at 0.14 MB
+        log, _ = block_log(tmp_path, 20_000)
+        args = make_args(log, tmp_path / "out.csv")
+        tracemalloc.start()
+        try:
+            write(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("text, row", (
         ("", 1),
@@ -337,7 +417,7 @@ class TestTable:
     def test_undecodable_byte_names_its_row(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_table(path, ("row_index", "timestamp", "label"),
-                    ((i, "2024-01-01 00:00", 0) for i in range(2_500)))
+                    (f"{i},2024-01-01 00:00,0" for i in range(2_500)))
         data = path.read_bytes()
         cut = data.index(b"\n") + 1
         path.write_bytes(data[:cut] + b"\xff\xfe" + data[cut:])

@@ -6,6 +6,7 @@ fail when a refactor removes a name it relies on or changes a file it reads."""
 import importlib.util
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +26,48 @@ def load_script(name):
     return module
 
 
-class CheckingTracer:
-    """Stands in for the tracer: checks each patch target, patches nothing."""
+class CountingTracer:
+    """Stands in for the tracer: checks each patch target and wraps it to
+    count its calls under the span's name."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.patched = []
+        self.calls = Counter()
+        self._monkeypatch = monkeypatch
 
     def patch(self, owner, attr, name, attrs=None, measure_alloc=False):
-        assert callable(getattr(owner, attr, None)), \
+        fn = getattr(owner, attr, None)
+        assert callable(fn), \
             f"{getattr(owner, '__name__', owner)}.{attr} is gone ({name})"
         self.patched.append(name)
 
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
 
-def test_every_traced_name_exists():
-    tracer = CheckingTracer()
+        self._monkeypatch.setattr(owner, attr, counted)
+
+
+def test_every_traced_name_exists(monkeypatch):
+    tracer = CountingTracer(monkeypatch)
     load_script("traced_stage").install(tracer)
     assert "models.forward" in tracer.patched
     assert "preprocess.read_matrix_csv" in tracer.patched
+
+
+def test_stages_call_the_traced_writers(monkeypatch, tmp_path):
+    # the writer spans are timed where the stages call them by these names;
+    # a writer inlined into its stage would read 0 s in the per-layer metrics
+    tracer = CountingTracer(monkeypatch)
+    load_script("traced_stage").install(tracer)
+    run(["synth", "--out-dir", tmp_path, "--seed", 5, "--synth.n_samples", 500])
+    assert tracer.calls["dataset.write_sensor_csv"] == 1
+    tracer.calls.clear()
+    run(["prepare", "--out-dir", tmp_path, "--seed", 5,
+         "--paths.sensor_csv", tmp_path / "sensor.csv",
+         "--paths.fault_csv", tmp_path / "faults.csv"])
+    assert tracer.calls["preprocess.write_matrix_csv"] == 3
+    assert tracer.calls["preprocess.write_split_plan"] == 1
 
 
 def test_every_layer_class_has_a_kernel_name():
