@@ -7,8 +7,6 @@ test sample, columns z1..z8), and prints a coarse separation statistic. Any
 external projection tool (PCA, t-SNE, ...) can consume the CSV.
 """
 
-import csv
-
 import numpy as np
 
 from aedetect import (
@@ -23,6 +21,7 @@ from aedetect import (
     plan_split,
     train,
 )
+from aedetect.dataset import write_table
 
 SEED = 1
 OUT = "latent.csv"
@@ -39,11 +38,9 @@ model, _, _ = train(model, scaled[plan.train_indices],
                     scaled[plan.validation_indices], TrainConfig(seed=SEED))
 
 latent = extract_latent(model, scaled[plan.test_indices])
-with open(OUT, "w", newline="", encoding="utf-8") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["index", "label"] + [f"z{k + 1}" for k in range(8)])
-    for i, flag, row in zip(plan.test_indices, labels[plan.test_indices], latent):
-        writer.writerow([int(i), int(flag)] + [repr(float(v)) for v in row])
+write_table(OUT, ["index", "label"] + [f"z{k + 1}" for k in range(8)], (
+    ",".join((str(int(i)), str(int(flag)), *map(repr, row.tolist())))
+    for i, flag, row in zip(plan.test_indices, labels[plan.test_indices], latent)))
 print(f"wrote {latent.shape[0]} x {latent.shape[1]} latent matrix to {OUT}")
 
 # centroid distance between healthy and faulty codes, in units of the

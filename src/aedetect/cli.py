@@ -38,31 +38,18 @@ EXIT_NUMERIC = 3
 
 ARCHITECTURES = ("dense_ae", "lstm_ae")
 
-# (section, key) -> RunConfig field
-CONFIG_KEYS = {
-    ("paths", "sensor_csv"): "sensor_csv",
-    ("paths", "fault_csv"): "fault_csv",
-    ("paths", "model_file"): "model_file",
-    ("paths", "out_dir"): "out_dir",
-    ("pipeline", "architecture"): "architecture",
-    ("pipeline", "loss"): "loss",
-    ("pipeline", "alpha"): "alpha",
-    ("pipeline", "window_length"): "window_length",
-    ("pipeline", "window_stride"): "window_stride",
-    ("pipeline", "train_ratio"): "train_ratio",
-    ("pipeline", "validation_ratio"): "validation_ratio",
-    ("pipeline", "seed"): "seed",
-    ("train", "max_epochs"): "max_epochs",
-    ("train", "learning_rate"): "learning_rate",
-    ("train", "batch_size"): "batch_size",
-    ("train", "es_patience"): "es_patience",
-    ("train", "plateau_patience"): "plateau_patience",
-    ("train", "plateau_factor"): "plateau_factor",
-    ("train", "warmup_epochs"): "warmup_epochs",
-    ("synth", "n_channels"): "synth_channels",
-    ("synth", "n_samples"): "synth_samples",
-    ("synth", "gap_fraction"): "synth_gap_fraction",
+# INI section -> its keys; each key is also the RunConfig field it sets and
+# the --section.key flag that overrides it
+SECTIONS = {
+    "paths": ("sensor_csv", "fault_csv", "model_file", "out_dir"),
+    "pipeline": ("architecture", "loss", "alpha", "window_length", "window_stride",
+                 "train_ratio", "validation_ratio", "seed"),
+    "train": ("max_epochs", "learning_rate", "batch_size", "es_patience",
+              "plateau_patience", "plateau_factor", "warmup_epochs"),
+    "synth": ("n_channels", "n_samples", "gap_fraction"),
 }
+# extra option strings of a key's flag
+ALIASES = {"seed": ("--seed",), "out_dir": ("--out-dir",)}
 
 
 @dataclass
@@ -79,16 +66,16 @@ class RunConfig:
     train_ratio: float = 0.9
     validation_ratio: float = 0.2
     seed: int = 0
-    max_epochs: int = 25
+    max_epochs: int = training.TrainConfig.max_epochs
     learning_rate: float | None = None  # architecture default when unset
-    batch_size: int = 256
-    es_patience: int = 10
-    plateau_patience: int = 5
-    plateau_factor: float = 0.2
-    warmup_epochs: int = 5
-    synth_channels: int = 8
-    synth_samples: int = 20_000
-    synth_gap_fraction: float = 0.0
+    batch_size: int = training.TrainConfig.batch_size
+    es_patience: int = training.TrainConfig.es_patience
+    plateau_patience: int = training.TrainConfig.plateau_patience
+    plateau_factor: float = training.TrainConfig.plateau_factor
+    warmup_epochs: int = training.TrainConfig.warmup_epochs
+    n_channels: int = 8
+    n_samples: int = 20_000
+    gap_fraction: float = 0.0
 
     def validate(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -114,51 +101,49 @@ class RunConfig:
         return Path(self.model_file) if self.model_file else self.out_path / "model.json"
 
     def train_config(self) -> training.TrainConfig:
-        lr = self.learning_rate
-        if lr is None:
-            lr = 3e-3 if self.architecture == "dense_ae" else 1e-3
-        return training.TrainConfig(
-            max_epochs=self.max_epochs,
-            learning_rate=lr,
-            batch_size=self.batch_size,
-            es_patience=self.es_patience,
-            plateau_patience=self.plateau_patience,
-            plateau_factor=self.plateau_factor,
-            loss=self.loss,
-            warmup_epochs=self.warmup_epochs,
-            seed=self.seed,
-        )
+        """The [train] keys, the loss and the seed; an unset learning rate
+        is the architecture's default."""
+        values = {key: getattr(self, key) for key in SECTIONS["train"]}
+        if self.learning_rate is None:
+            values["learning_rate"] = 3e-3 if self.architecture == "dense_ae" else 1e-3
+        return training.TrainConfig(**values, loss=self.loss, seed=self.seed)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
+def _coerce(key: str, raw: str, source: str):
+    """`raw` as the type of RunConfig field `key`; `source` names where the
+    text came from."""
+    kind = _FIELD_TYPES[key]
     try:
+        if "\0" in raw:  # in no number, and open() rejects a path holding one
+            raise ValueError(raw)
         if kind.startswith("int"):
             return int(raw)
         if kind.startswith("float"):
             return float(raw)
     except ValueError as exc:
-        raise ValidationError(f"bad value {raw!r} for {field_name}") from exc
+        raise ValidationError(f"{source}: bad value {raw!r} for {key}") from exc
     return raw
 
 
 def load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    """The values of an INI file of SECTIONS keys, each read literally (no
+    `%` interpolation); any error names the file. `[DEFAULT]` is an unknown
+    section like any other: no header can name the empty default section."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ValidationError(f"bad config file: {exc}") from exc
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: bad config file: {exc}") from exc
     values = {}
     for section in parser.sections():
         for key, raw in parser[section].items():
-            field_name = CONFIG_KEYS.get((section, key))
-            if field_name is None:
-                raise ValidationError(f"unknown config key [{section}] {key}")
-            values[field_name] = _coerce(field_name, raw)
+            if key not in SECTIONS.get(section, ()):
+                raise ValidationError(f"{path}: unknown config key [{section}] {key}")
+            values[key] = _coerce(key, raw, path)
     return values
 
 
@@ -171,26 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
         "prepare", "train", "threshold", "detect", "eval", "synth", "export-latent",
     ])
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="override pipeline.seed")
-    parser.add_argument("--out-dir", help="override paths.out_dir")
-    for (section, key), field_name in CONFIG_KEYS.items():
-        parser.add_argument(f"--{section}.{key}", dest=f"flag:{field_name}",
-                            metavar=key.upper())
+    for section, keys in SECTIONS.items():
+        for key in keys:
+            parser.add_argument(f"--{section}.{key}", *ALIASES.get(key, ()),
+                                dest=key, metavar=key.upper())
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for field_name in _FIELD_TYPES:
-        raw = getattr(args, f"flag:{field_name}", None)
+    values = load_config_file(args.config) if args.config else {}
+    for key in _FIELD_TYPES:
+        raw = getattr(args, key)
         if raw is not None:
-            values[field_name] = _coerce(field_name, raw)
-    if args.out_dir is not None:
-        values["out_dir"] = args.out_dir
-    if args.seed is not None:
-        values["seed"] = args.seed
+            values[key] = _coerce(key, raw, "command line")
     config = RunConfig(**values)
     config.validate()
     return config
@@ -472,10 +450,10 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_synth(config: RunConfig) -> int:
     plant = synthplant.default_config(
-        n_channels=config.synth_channels,
-        n_samples=config.synth_samples,
+        n_channels=config.n_channels,
+        n_samples=config.n_samples,
         seed=config.seed,
-        gap_fraction=config.synth_gap_fraction,
+        gap_fraction=config.gap_fraction,
     )
     log, schedule = synthplant.generate(plant)
     out = config.out_path

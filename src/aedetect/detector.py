@@ -54,7 +54,8 @@ class ScoreSeries:
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """Percentile level alpha in (0, 100] and the fitted cut value tau."""
+    """Percentile level alpha in (0, 100], the fitted cut value tau (finite
+    and >= 0, as every score is) and the number of scores it was fitted on."""
 
     alpha: float
     tau: float
@@ -64,8 +65,12 @@ class ThresholdSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 100.0:
             raise ValidationError("alpha must lie in (0, 100]")
+        if not (math.isfinite(self.tau) and self.tau >= 0.0):
+            raise ValidationError(f"tau must be finite and >= 0, got {self.tau}")
         if self.kind not in SCORE_KINDS:
             raise ValidationError(f"score kind must be one of {SCORE_KINDS}")
+        if self.fitted_on < 1:
+            raise ValidationError(f"fitted_on must be >= 1, got {self.fitted_on}")
 
 
 def _default_indices(n: int, indices) -> np.ndarray:

@@ -21,7 +21,8 @@ from .errors import LeakageError, ParseError, ValidationError
 
 @dataclass(frozen=True, eq=False)
 class ScalerParams:
-    """Per-channel MinMax bounds; fitted on healthy training rows only."""
+    """Per-channel finite MinMax bounds; fitted on `fitted_on` >= 1 healthy
+    training rows only."""
 
     minimum: np.ndarray  # (C,)
     maximum: np.ndarray  # (C,)
@@ -32,8 +33,12 @@ class ScalerParams:
         hi = np.asarray(self.maximum, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("scaler min/max must be matching 1-D vectors")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError("scaler min/max must be finite")
         if np.any(lo > hi):
             raise ValidationError("scaler requires min <= max per channel")
+        if self.fitted_on < 1:
+            raise ValidationError(f"scaler fitted_on must be >= 1, got {self.fitted_on}")
         object.__setattr__(self, "minimum", lo)
         object.__setattr__(self, "maximum", hi)
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import tracemalloc
@@ -19,6 +20,7 @@ from aedetect.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     LABELS_HEADER,
+    SECTIONS,
     RunConfig,
     _items,
     _load_prepared,
@@ -57,6 +59,22 @@ CORRUPT_BYTES = {
     "huge-field": b'"' + b"x" * 200_000 + b'",',
     "stray-quote": b'"',
 }
+
+
+# INI-shaped config text: a section header, then up to four key/value lines,
+# each name and value known to the CLI or any text
+CONFIG_LINE = st.tuples(
+    st.one_of(st.sampled_from(sum(SECTIONS.values(), ())), st.text(max_size=6)),
+    st.sampled_from((" = ", ":", "", "==")),
+    st.one_of(st.sampled_from((
+        "", "1", "-1", "0.5", "nan", "-inf", "1e999", "9" * 5000, "%(oops", "%%",
+        "%(seed)s", "lstm_ae", "mahalanobis", "..", "model.json", "a\x00b",
+        "x\n[paths]")), st.text(max_size=8)),
+).map("".join)
+CONFIG_TEXT = st.tuples(
+    st.one_of(st.sampled_from((*SECTIONS, "DEFAULT")), st.text(max_size=6)),
+    st.lists(CONFIG_LINE, max_size=4),
+).map(lambda parts: "".join(f"{line}\n" for line in (f"[{parts[0]}]", *parts[1])))
 
 
 def set_cell(column, value):
@@ -216,6 +234,78 @@ class TestConfigResolution:
         lr = resolve_config(args).learning_rate
         assert type(lr) is float and lr == 0.01
 
+    def test_option_strings(self):
+        options = sorted(option for action in build_parser()._actions
+                         for option in action.option_strings)
+        assert options == [
+            "--config", "--help", "--out-dir", "--paths.fault_csv",
+            "--paths.model_file", "--paths.out_dir", "--paths.sensor_csv",
+            "--pipeline.alpha", "--pipeline.architecture", "--pipeline.loss",
+            "--pipeline.seed", "--pipeline.train_ratio",
+            "--pipeline.validation_ratio", "--pipeline.window_length",
+            "--pipeline.window_stride", "--seed", "--synth.gap_fraction",
+            "--synth.n_channels", "--synth.n_samples", "--train.batch_size",
+            "--train.es_patience", "--train.learning_rate", "--train.max_epochs",
+            "--train.plateau_factor", "--train.plateau_patience",
+            "--train.warmup_epochs", "-h"]
+
+    def test_default_train_config(self):
+        assert RunConfig().train_config() == training.TrainConfig(learning_rate=3e-3)
+
+    @pytest.mark.parametrize("key, raw, value", (
+        ("max_epochs", "7", 7), ("learning_rate", "0.05", 0.05),
+        ("batch_size", "32", 32), ("es_patience", "3", 3),
+        ("plateau_patience", "2", 2), ("plateau_factor", "0.5", 0.5),
+        ("warmup_epochs", "4", 4),
+    ))
+    def test_train_flag_reaches_train_config(self, key, raw, value):
+        args = build_parser().parse_args(
+            ["train", f"--train.{key}", raw, "--pipeline.loss", "mahalanobis",
+             "--seed", "9"])
+        config = resolve_config(args).train_config()
+        assert getattr(config, key) == value
+        assert getattr(training.TrainConfig(), key) != value
+        assert (config.loss, config.seed) == ("mahalanobis", 9)
+
+    @pytest.mark.parametrize("flags, seed, out_dir", (
+        (["--seed", "3", "--pipeline.seed", "4"], 4, "out"),
+        (["--pipeline.seed", "4", "--seed", "3"], 3, "out"),
+        (["--out-dir", "a", "--paths.out_dir", "b"], 0, "b"),
+        (["--paths.out_dir", "b", "--out-dir", "a"], 0, "a"),
+    ))
+    def test_later_of_alias_and_key_flag_wins(self, flags, seed, out_dir):
+        config = resolve_config(build_parser().parse_args(["train"] + flags))
+        assert (config.seed, config.out_dir) == (seed, out_dir)
+
+    def test_ini_values_are_literal(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[paths]\nout_dir = runs/100%%(seed)s\n[pipeline]\nseed = 4\n")
+        config = resolve_config(build_parser().parse_args(["train", "--config", str(ini)]))
+        assert config.out_dir == "runs/100%%(seed)s"
+
+    # a `%(` and a byte that is not UTF-8 among them: each is a config error
+    # that names the file
+    @pytest.mark.parametrize("blob", (
+        b"[pipeline]\nseed = %(oops\n",
+        b"[pipeline]\nseed = 3\xff\n",
+        b"\xff[pipeline]\n",
+        b"[pipeline]\nseed = x\n",
+        b"[pipeline]\nbogus = 1\n",
+        b"[bogus]\nseed = 1\n",
+        b"seed = 1\n",
+        b"[pipeline]\nseed = 1\nseed = 2\n",
+        b"[paths]\nmodel_file = a\x00b\n",
+        b"[DEFAULT]\nseed = 3\n",
+    ), ids=("interpolation", "not-utf8-value", "not-utf8-header", "bad-int",
+            "unknown-key", "unknown-section", "no-section", "duplicate-key",
+            "nul-in-path", "default-section"))
+    def test_bad_config_file_exits_2_naming_it(self, tmp_path, capsys, blob):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(blob)
+        assert run(["detect", "--config", ini, "--out-dir", tmp_path]) \
+            == EXIT_VALIDATION
+        assert str(ini) in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_file_is_io_error(self, tmp_path):
@@ -309,6 +399,50 @@ class TestExitCodes:
         capsys.readouterr()
         assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert name in capsys.readouterr().err
+
+    # a NaN tau would flag no test row, and tau -inf every one
+    @pytest.mark.parametrize("edit", (
+        {"tau": float("nan")}, {"tau": float("-inf"), "fitted_on": -5},
+        {"tau": float("inf")}, {"tau": -0.5}, {"fitted_on": 0},
+    ), ids=("tau-nan", "tau-minus-inf", "tau-inf", "tau-negative", "fitted-on-0"))
+    def test_bad_threshold_is_model_format_error(self, pipeline_dir, tmp_path,
+                                                 capsys, edit):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        doc = json.loads((out / "model.json").read_text())
+        doc["threshold"].update(edit)
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "bad threshold block" in capsys.readouterr().err
+
+    # a NaN bound would pass through train into model.json, where no re-run
+    # of train could mend it
+    @pytest.mark.parametrize("bound, value, fitted_on", (
+        ("min", float("nan"), -3), ("max", float("inf"), 1),
+        ("min", float("-inf"), 1), ("min", 0.0, 0),
+    ), ids=("min-nan", "max-inf", "min-minus-inf", "fitted-on-0"))
+    def test_bad_scaler_is_rejected(self, pipeline_dir, tmp_path, capsys, bound,
+                                    value, fitted_on):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+
+        def edit(scaler):
+            scaler[bound][0] = value
+            scaler["fitted_on"] = fitted_on
+
+        scaler = json.loads((out / "scaler.json").read_text())
+        edit(scaler)
+        (out / "scaler.json").write_text(json.dumps(scaler))
+        capsys.readouterr()
+        assert run(["train", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert f"{out / 'scaler.json'}: bad scaler document" in capsys.readouterr().err
+        shutil.copy(pipeline_dir / "scaler.json", out / "scaler.json")
+        doc = json.loads((out / "model.json").read_text())
+        edit(doc["scaler"])
+        (out / "model.json").write_text(json.dumps(doc))
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "bad scaler block" in capsys.readouterr().err
 
     # the last row of the log, a test row, gets another row_index in
     # split_plan.csv, or is missing from both split_plan.csv and test.csv;
@@ -437,6 +571,28 @@ class TestExitCodes:
                 code = main([stage, "--out-dir", str(out), "--seed", "5",
                              "--train.max_epochs", "1"])
         assert code in (EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NUMERIC)
+
+    # a config file of INI-shaped text, with any bytes spliced in or of bytes
+    # alone, goes through a stage whose out dir is empty: it is rejected (2)
+    # or the model file is missing (1)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_config_file_mutation_exits_1_or_2(self, data):
+        blob = data.draw(CONFIG_TEXT).encode("utf-8", "surrogatepass")
+        kind = data.draw(st.sampled_from(("text", "splice", "bytes")))
+        if kind == "splice":
+            at = data.draw(st.integers(0, len(blob)))
+            blob = blob[:at] + data.draw(st.one_of(st.binary(max_size=4), st.sampled_from(
+                (b"\xff", b"\x80", b"\xc3", b"%(", b"\x00", b"\n[")))) + blob[at:]
+        elif kind == "bytes":
+            blob = data.draw(st.binary(max_size=64))
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            Path("run.ini").write_bytes(blob)
+            os.mkdir("empty")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["detect", "--config", "run.ini", "--out-dir", "empty"])
+        assert code in (EXIT_IO, EXIT_VALIDATION)
 
     def test_scaler_of_another_prepare_is_validation_error(self, pipeline_dir,
                                                            tmp_path, capsys):

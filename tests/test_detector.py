@@ -217,6 +217,14 @@ class TestDetect:
         with pytest.raises(ValidationError):
             detect(series, ThresholdSpec(95.0, 0.5, "mse_point", 2))
 
+    @pytest.mark.parametrize("tau, fitted_on", (
+        (float("nan"), 3), (float("inf"), 3), (float("-inf"), 3), (-0.5, 3),
+        (0.5, 0), (0.5, -5),
+    ))
+    def test_spec_needs_finite_tau_and_a_fitting_set(self, tau, fitted_on):
+        with pytest.raises(ValidationError):
+            ThresholdSpec(95.0, tau, "mse_point", fitted_on)
+
     def test_flagged_fraction_of_fitting_set(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -201,6 +201,14 @@ class TestScaler:
         with pytest.raises(LeakageError):
             fit_scaler(np.ones((3, 1)), np.array([0, 1]), labels)
 
+    @pytest.mark.parametrize("lo, hi, fitted_on", (
+        (np.nan, 1.0, 3), (0.0, np.inf, 3), (-np.inf, 1.0, 3), (0.0, 1.0, 0),
+        (0.0, 1.0, -3),
+    ))
+    def test_needs_finite_bounds_and_a_fitting_set(self, lo, hi, fitted_on):
+        with pytest.raises(ValidationError):
+            ScalerParams(np.array([0.0, lo]), np.array([1.0, hi]), fitted_on)
+
     def test_column_mismatch(self):
         params = ScalerParams(np.zeros(2), np.ones(2), 1)
         with pytest.raises(ValidationError):
