@@ -367,13 +367,18 @@ def cmd_train(config: RunConfig) -> int:
     data = _load_prepared(config)
     d = data.train.shape[1]
     if config.architecture == "dense_ae":
-        model, stride = DenseAutoencoder(d=d, seed=config.seed), None
+        model, stride, length = DenseAutoencoder(d=d, seed=config.seed), None, 1
     else:
         model = LstmAutoencoder(d=d, window_length=config.window_length,
                                 seed=config.seed)
-        stride = config.window_stride
+        stride, length = config.window_stride, config.window_length
     (train_items, _, train_labels), (val_items, _, val_labels) = _items(
         data, model, stride, "train", "val")
+    # detect and eval score the test items; an item is `length` consecutive
+    # test rows
+    if not any(run.size >= length
+               for run in preprocess.contiguous_runs(data.plan.test_indices)):
+        raise ValidationError("the test partition yields no items")
     trained, report, cov = training.train(
         model, train_items, val_items, config.train_config(),
         train_labels=train_labels, val_labels=val_labels,

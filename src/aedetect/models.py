@@ -282,5 +282,8 @@ def load_model(path) -> ModelBundle:
         except (ValueError, RecursionError) as exc:  # undecodable bytes too
             raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelFormatError("model file must hold a JSON object")
-    return from_document(doc)
+        raise ModelFormatError(f"{path}: model file must hold a JSON object")
+    try:
+        return from_document(doc)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

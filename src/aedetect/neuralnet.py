@@ -1,5 +1,6 @@
 """Minimal neural-network core: dense and LSTM layers with hand-derived
-backward passes, Adam, and the two training callbacks.
+backward passes, and Adam. When to cut the learning rate or stop is decided
+in `training.train`.
 
 Everything is float64. Layers keep the forward cache on the instance, so one
 layer object serves one forward/backward pair at a time; `forward(x,
@@ -328,49 +329,4 @@ class Adam:
                   np.sqrt(self.v / bc2) + self.epsilon, out=self._flat)
         for p, update in zip(self.params, self._updates):
             p -= update
-
-
-class EarlyStopping:
-    """Stop after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience: int = 10):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.wait = 0
-
-    def update(self, loss: float, epoch: int) -> bool:
-        """Feed one epoch's validation loss; returns True when training
-        should stop."""
-        if loss < self.best:
-            self.best = loss
-            self.best_epoch = epoch
-            self.wait = 0
-        else:
-            self.wait += 1
-        return self.wait >= self.patience
-
-
-class ReduceLROnPlateau:
-    """Multiply the learning rate by `factor` after `patience` stagnant
-    epochs; the stagnation counter resets after each reduction."""
-
-    def __init__(self, patience: int = 5, factor: float = 0.2):
-        self.patience = patience
-        self.factor = factor
-        self.best = np.inf
-        self.wait = 0
-
-    def update(self, loss: float) -> bool:
-        """Feed one epoch's validation loss; returns True when the learning
-        rate should be reduced now."""
-        if loss < self.best:
-            self.best = loss
-            self.wait = 0
-            return False
-        self.wait += 1
-        if self.wait >= self.patience:
-            self.wait = 0
-            return True
-        return False
 

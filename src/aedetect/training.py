@@ -1,11 +1,17 @@
-"""Training protocol: batched Adam epochs, validation monitoring, early
-stopping with best-weight restore, plateau LR reduction, and the Mahalanobis
+"""Training protocol: batched Adam epochs, one validation state that keeps
+the best weights, cuts the learning rate and stops early, and the Mahalanobis
 warm-up / covariance estimation procedure.
+
+The validation state is the best loss, its weights and `stale`, the number of
+epochs since the last strict improvement. The learning rate is multiplied by
+`plateau_factor` whenever `stale` reaches a multiple of `plateau_patience`,
+and training stops once `stale` reaches `es_patience`; the best weights are
+restored at the end.
 
 The Mahalanobis path trains with plain MSE for `warmup_epochs` epochs, then
 estimates the residual covariance once on the training residuals, freezes it,
-and continues with the whitened-residual loss. Early stopping and the plateau
-scheduler watch one validation stream across the switch.
+and continues with the whitened-residual loss. The validation state watches
+one stream across the switch.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .dataset import write_table
 from .detector import residuals
 from .errors import LeakageError, NumericError, ValidationError
-from .neuralnet import Adam, EarlyStopping, ReduceLROnPlateau
+from .neuralnet import Adam
 
 LOSS_KINDS = ("mse", "mahalanobis")
 
@@ -186,15 +192,6 @@ def estimate_residual_covariance(
     return CovarianceModel.from_sigma(sample + epsilon * np.eye(d), epsilon)
 
 
-def _snapshot(model) -> list[np.ndarray]:
-    return [p.copy() for p in model.parameters()]
-
-
-def _restore(model, weights: list[np.ndarray]) -> None:
-    for p, w in zip(model.parameters(), weights):
-        p[...] = w
-
-
 def _epoch_loss(model, items: np.ndarray, loss_fn, batch_size: int) -> float:
     """Full-dataset loss without parameter updates."""
     total = 0.0
@@ -235,12 +232,10 @@ def train(
         raise ValidationError("mahalanobis loss applies to the dense model only")
 
     optimizer = Adam(model.parameters(), config.learning_rate)
-    stopper = EarlyStopping(config.es_patience)
-    plateau = ReduceLROnPlateau(config.plateau_patience, config.plateau_factor)
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     cov: CovarianceModel | None = None
-    best_weights = None
+    best_loss, best_weights, stale = np.inf, [], 0
     n = train_items.shape[0]
 
     for epoch in range(1, config.max_epochs + 1):
@@ -254,7 +249,6 @@ def train(
         else:
             loss_fn = mse_loss
 
-        lr_this_epoch = optimizer.learning_rate
         perm = rng.permutation(n)
         epoch_total = 0.0
         for lo in range(0, n, config.batch_size):
@@ -272,28 +266,26 @@ def train(
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         report.train_losses.append(epoch_total / n)
         report.val_losses.append(val_loss)
-        report.learning_rates.append(lr_this_epoch)
+        report.learning_rates.append(optimizer.learning_rate)
 
-        # both callbacks watch the one validation stream; after the warm-up
-        # switch the stream changes scale, which typically pins the best
-        # epoch inside the warm-up (the callbacks do not special-case this)
-        if val_loss < stopper.best:
-            best_weights = _snapshot(model)
-        should_stop = stopper.update(val_loss, epoch)
-        if plateau.update(val_loss):
-            optimizer.learning_rate *= plateau.factor
-        if should_stop:
+        # after the warm-up switch the stream changes scale, which typically
+        # pins the best epoch inside the warm-up (nothing special-cases this)
+        if val_loss < best_loss:
+            best_loss, stale, report.best_epoch = val_loss, 0, epoch
+            best_weights = [p.copy() for p in model.parameters()]
+            continue
+        stale += 1
+        if stale >= config.es_patience:
             report.stop_reason = "early_stop"
             break
+        if stale % config.plateau_patience == 0:
+            optimizer.learning_rate *= config.plateau_factor
 
     # mahalanobis runs shorter than the warm-up still need a covariance
     if use_mahalanobis and cov is None and report.epochs_run > 0:
         cov = estimate_residual_covariance(model, train_items)
         report.warmup_epochs = report.epochs_run
 
-    if best_weights is not None:
-        _restore(model, best_weights)
-        report.best_epoch = stopper.best_epoch
-    else:
-        report.best_epoch = report.epochs_run
+    for p, w in zip(model.parameters(), best_weights):  # none after 0 epochs
+        p[...] = w
     return model, report, cov

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aedetect import training
 from aedetect.cli import (
@@ -75,6 +75,26 @@ CONFIG_TEXT = st.tuples(
     st.one_of(st.sampled_from((*SECTIONS, "DEFAULT")), st.text(max_size=6)),
     st.lists(CONFIG_LINE, max_size=4),
 ).map(lambda parts: "".join(f"{line}\n" for line in (f"[{parts[0]}]", *parts[1])))
+
+
+# a run's (architecture, loss), LSTM twice as often since its windows are
+# what can outgrow a test run, and every other key that synth and the
+# pipeline stages read, at ordinary and edge values, on a log small enough
+# for a seven-stage run
+RUN_MODEL = st.sampled_from((("dense_ae", "mse"), ("dense_ae", "mahalanobis"),
+                             ("lstm_ae", "mse"), ("lstm_ae", "mse")))
+RUN_VALUES = st.fixed_dictionaries({
+    "pipeline.seed": st.integers(0, 99),
+    "synth.n_samples": st.integers(200, 1500),
+    "synth.gap_fraction": st.sampled_from((0.0, 0.05)),
+    "pipeline.window_length": st.sampled_from((1, 5, 24, 60)),
+    "pipeline.window_stride": st.sampled_from((1, 3, 40)),
+    "pipeline.train_ratio": st.sampled_from((0.05, 0.5, 0.9, 0.999)),
+    "pipeline.validation_ratio": st.sampled_from((0.01, 0.2, 0.99)),
+    "pipeline.alpha": st.sampled_from((0.001, 50.0, 95.0, 100.0)),
+    "train.batch_size": st.sampled_from((3, 64, 4096)),
+    "train.max_epochs": st.integers(0, 2),
+})
 
 
 def set_cell(column, value):
@@ -403,8 +423,9 @@ class TestExitCodes:
     # a NaN tau would flag no test row, and tau -inf every one
     @pytest.mark.parametrize("edit", (
         {"tau": float("nan")}, {"tau": float("-inf"), "fitted_on": -5},
-        {"tau": float("inf")}, {"tau": -0.5}, {"fitted_on": 0},
-    ), ids=("tau-nan", "tau-minus-inf", "tau-inf", "tau-negative", "fitted-on-0"))
+        {"tau": float("inf")}, {"tau": -0.5}, {"fitted_on": 0}, {"kind": "bogus"},
+    ), ids=("tau-nan", "tau-minus-inf", "tau-inf", "tau-negative", "fitted-on-0",
+            "kind-bogus"))
     def test_bad_threshold_is_model_format_error(self, pipeline_dir, tmp_path,
                                                  capsys, edit):
         out = tmp_path / "run"
@@ -414,7 +435,37 @@ class TestExitCodes:
         (out / "model.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
-        assert "bad threshold block" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"error: {out / 'model.json'}: model file has a bad threshold block\n"
+
+    def test_bad_weight_field_names_the_file(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        flags = ["--out-dir", out, "--seed", 5, "--pipeline.architecture", "lstm_ae"]
+        assert run(["train"] + flags + ["--train.max_epochs", 1]) == EXIT_OK
+        doc = json.loads((out / "model.json").read_text())
+        doc["layers"][0]["W_input"] = [0.5]
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["threshold"] + flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {out / 'model.json'}: field " \
+            "'W_input' has 1 values, expected shape (16, 8)\n"
+
+    def test_window_longer_than_every_test_run_fails_train(self, tmp_path, capsys):
+        # the test rows of this log form runs of 6, 4, 3 and 59 rows; train
+        # once passed and detect alone failed
+        flags = ["--out-dir", tmp_path, "--seed", 3, "--synth.n_samples", 600,
+                 "--paths.sensor_csv", tmp_path / "sensor.csv",
+                 "--paths.fault_csv", tmp_path / "faults.csv",
+                 "--pipeline.architecture", "lstm_ae", "--train.max_epochs", 1]
+        assert run(["synth"] + flags) == EXIT_OK
+        assert run(["prepare"] + flags) == EXIT_OK
+        capsys.readouterr()
+        assert run(["train"] + flags + ["--pipeline.window_length", 60]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: the test partition yields no items\n"
+        assert not (tmp_path / "model.json").exists()
+        assert run(["train"] + flags + ["--pipeline.window_length", 59]) == EXIT_OK
 
     # a NaN bound would pass through train into model.json, where no re-run
     # of train could mend it
@@ -593,6 +644,33 @@ class TestExitCodes:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["detect", "--config", "run.ini", "--out-dir", "empty"])
         assert code in (EXIT_IO, EXIT_VALIDATION)
+
+    # a configuration goes through every stage until one fails: each exits 0
+    # or 2, and a configuration that passes train scores some test items
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(model=RUN_MODEL, values=RUN_VALUES)
+    @example(model=("lstm_ae", "mse"), values={  # test runs of 6, 4, 3 and 59 rows
+        "pipeline.seed": 3, "synth.n_samples": 600, "pipeline.window_length": 60})
+    def test_run_configuration_exits_0_or_2(self, model, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            flags = ["--pipeline.architecture", model[0], "--pipeline.loss", model[1],
+                     "--out-dir", tmp,
+                     "--paths.sensor_csv", str(Path(tmp) / "sensor.csv"),
+                     "--paths.fault_csv", str(Path(tmp) / "faults.csv")]
+            for key, value in values.items():
+                flags += [f"--{key}", str(value)]
+            trained = False
+            for stage in ("synth", "prepare", "train", "threshold", "detect", "eval",
+                          "export-latent"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main([stage] + flags)
+                assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+                assert not (trained and "yields no items" in err.getvalue())
+                if code != EXIT_OK:
+                    break
+                trained = trained or stage == "train"
 
     def test_scaler_of_another_prepare_is_validation_error(self, pipeline_dir,
                                                            tmp_path, capsys):

@@ -8,9 +8,7 @@ from aedetect.models import LstmAutoencoder
 from aedetect.neuralnet import (
     Adam,
     DenseLayer,
-    EarlyStopping,
     LstmLayer,
-    ReduceLROnPlateau,
     RepeatVector,
     TimeDistributedDense,
     sigmoid,
@@ -306,66 +304,6 @@ def adam_per_array(params, grad_steps, rates, beta1=0.9, beta2=0.999, epsilon=1e
             v += (1.0 - beta2) * (g * g)
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
     return params
-
-
-def replay_early_stopping(history, patience):
-    """Feed a validation-loss history to EarlyStopping; returns (stop,
-    best_epoch) with epochs numbered from 1."""
-    cb = EarlyStopping(patience)
-    stop = False
-    for epoch, loss in enumerate(history, start=1):
-        stop = cb.update(loss, epoch)
-        if stop:
-            break
-    return stop, cb.best_epoch
-
-
-def replay_plateau(history, patience=5, factor=0.2, learning_rate=1e-3):
-    """Feed a validation-loss history to ReduceLROnPlateau; returns the
-    learning rate in effect after the last epoch."""
-    cb = ReduceLROnPlateau(patience, factor)
-    for loss in history:
-        if cb.update(loss):
-            learning_rate *= factor
-    return learning_rate
-
-
-class TestEarlyStopping:
-    def test_strictly_decreasing_never_stops(self):
-        losses = [1.0 / (k + 1) for k in range(30)]
-        stop, best = replay_early_stopping(losses, patience=10)
-        assert not stop and best == 30
-
-    def test_flat_history_stops_at_eleven(self):
-        losses = [1.0] + [1.0] * 10
-        cb = EarlyStopping(patience=10)
-        stopped_at = None
-        for epoch, loss in enumerate(losses, start=1):
-            if cb.update(loss, epoch):
-                stopped_at = epoch
-                break
-        assert stopped_at == 11 and cb.best_epoch == 1
-
-    def test_nine_stagnant_epochs_continue(self):
-        losses = [1.0, 0.9] + [0.9] * 9
-        stop, best = replay_early_stopping(losses, patience=10)
-        assert not stop and best == 2
-
-
-class TestReduceLrOnPlateau:
-    def test_improving_keeps_lr(self):
-        assert replay_plateau([1.0, 0.9, 0.8], learning_rate=1e-3) == 1e-3
-
-    def test_five_stagnant_epochs_reduce_once(self):
-        losses = [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
-        cb = ReduceLROnPlateau(patience=5, factor=0.2)
-        reduced_at = [e for e, loss in enumerate(losses, start=1) if cb.update(loss)]
-        assert reduced_at == [7]
-
-    def test_two_plateaus_compound(self):
-        losses = [1.0] + [1.0] * 10
-        lr = replay_plateau(losses, patience=5, factor=0.2, learning_rate=1.0)
-        assert lr == pytest.approx(0.2 * 0.2)
 
 
 class TestActivationRanges:

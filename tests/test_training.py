@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aedetect import training
 from aedetect.detector import SCORE_CHUNK
 from aedetect.errors import LeakageError, NumericError, ValidationError
 from aedetect.models import DenseAutoencoder, LstmAutoencoder
@@ -327,6 +328,66 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,learning_rate"
         assert len(lines) == 3
+
+
+def scripted_train(monkeypatch, history, **overrides):
+    """(model, report) of `train` on a tiny dense model whose validation loss
+    at epoch k is history[k - 1]; it runs len(history) epochs at a learning
+    rate of 1 unless `overrides` say otherwise."""
+    losses = iter(history)
+    monkeypatch.setattr(training, "_epoch_loss", lambda *args: next(losses))
+    x = healthy_blob(48, 3, 12)
+    model = DenseAutoencoder(d=3, seed=0)
+    config = TrainConfig(**{"max_epochs": len(history), "learning_rate": 1.0,
+                            "batch_size": 16, "seed": 0, **overrides})
+    _, report, _ = train(model, x[:32], x[32:], config)
+    return model, report
+
+
+class TestValidationState:
+    """One validation history per test drives the learning-rate cuts, the
+    early stop and the weights restored; a cut after the last epoch run is
+    never seen, so some histories run one epoch past the plateau."""
+
+    def check(self, monkeypatch, history, rates, stop_reason, best_epoch,
+              **overrides):
+        model, report = scripted_train(monkeypatch, history, **overrides)
+        assert report.learning_rates == rates
+        assert report.stop_reason == stop_reason
+        assert report.epochs_run == len(rates)
+        assert report.best_epoch == best_epoch
+        # the restored weights are those of a run that ends at the best epoch
+        reference, _ = scripted_train(monkeypatch, history[:best_epoch],
+                                      **{**overrides, "max_epochs": best_epoch})
+        for p, q in zip(model.parameters(), reference.parameters()):
+            assert np.array_equal(p, q)
+
+    def test_strictly_decreasing_never_stops(self, monkeypatch):
+        self.check(monkeypatch, [1.0 / (k + 1) for k in range(30)], [1.0] * 30,
+                   "max_epochs", 30)
+
+    def test_flat_history_stops_at_eleven(self, monkeypatch):
+        # stale reaches 5 at epoch 6 (a cut) and 10 at epoch 11 (the stop)
+        self.check(monkeypatch, [1.0] + [1.0] * 10, [1.0] * 6 + [0.2] * 5,
+                   "early_stop", 1)
+
+    def test_nine_stagnant_epochs_continue(self, monkeypatch):
+        self.check(monkeypatch, [1.0, 0.9] + [0.9] * 9, [1.0] * 7 + [0.2] * 4,
+                   "max_epochs", 2)
+
+    def test_improving_keeps_lr(self, monkeypatch):
+        self.check(monkeypatch, [1.0, 0.9, 0.8], [1.0] * 3, "max_epochs", 3)
+
+    def test_five_stagnant_epochs_reduce_once(self, monkeypatch):
+        # the cut comes after epoch 7; epoch 8 runs at the reduced rate
+        self.check(monkeypatch, [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9] + [0.9],
+                   [1.0] * 7 + [0.2], "max_epochs", 2)
+
+    def test_two_plateaus_compound(self, monkeypatch):
+        # cuts after epochs 6 and 11; a patience of 20 keeps training past
+        # the second, so epoch 12 runs at 0.2 * 0.2
+        self.check(monkeypatch, [1.0] + [1.0] * 10 + [1.0], [1.0] * 6 + [0.2] * 5
+                   + [0.2 * 0.2], "max_epochs", 1, es_patience=20)
 
 
 class TestTrainConfig:
