@@ -209,10 +209,11 @@ def _positive_int(doc: dict, key: str) -> int:
 
 
 def _block(doc: dict, key: str, parse):
-    """parse(doc[key]); a missing or malformed block is a ModelFormatError."""
+    """parse(doc[key]); a missing, malformed or numerically invalid block (a
+    covariance that is not positive definite) is a ModelFormatError."""
     try:
         return parse(doc[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"model file has a bad {key} block") from exc
 
 

@@ -7,6 +7,9 @@ layer object serves one forward/backward pair at a time; `forward(x,
 cache=False)` is the inference pass, which keeps nothing and cannot be
 followed by `backward`. Parameters are plain numpy arrays updated in place by
 the optimizer.
+
+The LSTM layer computes feature-major, one column per item, on a batch padded
+to a multiple of 8 columns (see `LstmLayer`).
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from .errors import NumericError, ValidationError
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: 1/(1+e) where x >= 0 and e/(1+e)
-    elsewhere, with e = exp(-|x|); min(x, -x) keeps a NaN's sign. `out` may
-    alias `x`."""
-    e = np.exp(np.minimum(x, -x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5, which cannot overflow;
+    within 2**-52 of the two-branch exp form, exactly 0.5 at +-0, and `out`
+    may alias `x`."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -32,21 +38,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
-
-
-def _steps_product(a: np.ndarray, w: np.ndarray, time_major: bool = False) -> np.ndarray:
-    """Every row of a (batch, T, k) times w (k, n) in one product over the
-    batch*T rows; returned as (batch, T, n), or as (T, batch, n) when
-    time_major. Each row rounds as in numpy's stacked product `a @ w`, which
-    multiplies item by item, except that it takes one-row items (T = 1) as
-    vector-matrix products; that case keeps the stacked form."""
-    batch, steps, k = a.shape
-    if steps == 1:
-        out = a @ w
-        return out.transpose(1, 0, 2) if time_major else out
-    if time_major:
-        a = np.ascontiguousarray(a.transpose(1, 0, 2))
-    return (a.reshape(-1, k) @ w).reshape(a.shape[0], a.shape[1], w.shape[1])
 
 
 def _cached(cache, layer: str):
@@ -110,11 +101,20 @@ class LstmLayer:
     c <- f*c + i*g, h <- o*tanh(c). Weights are stored stacked as
     Wx (4u, in), Wh (4u, u), b (4u,) in GATES order; forget bias starts at 1.
 
-    Per-step state is feature-major: gates (T, 4u, batch), cells and hidden
-    states (T, u, batch), so every gate block is one contiguous (u, batch)
-    array and i, f share one sigmoid call. Products keep the (batch, features)
-    operand order and weight gradients sum rows in (batch, time) order, so
-    every float equals that of the batch-major textbook form.
+    Inside, everything is feature-major, one column per item: inputs
+    (T, in, width), gates (T, 4u, width) straight from `Wx @ x_t` and
+    `Wh @ h`, cells and hidden states (T, u, width); i, f share one sigmoid
+    call. Weight gradients are per-step products over the batch, summed over
+    T, so their inner dimension is the batch, not batch * T; at batches up to
+    1 024 their bits do not depend on the BLAS thread count.
+
+    `width` is the batch padded with zero columns to a multiple of 8: OpenBLAS
+    can round an item's column differently with the product's width when it
+    is not a multiple of 8, while multiples of 8 round alike, so an item's
+    outputs do not depend on its batch. Padding columns get zero gradients and
+    are sliced off. These products round differently from the batch-major
+    `x_t @ Wx.T` of the textbook form, so the bits differ from it in the last
+    places.
     """
 
     GATES = ("input", "forget", "candidate", "output")
@@ -142,23 +142,24 @@ class LstmLayer:
             )
         batch, steps, _ = x.shape
         u = self.units
-        xp = _steps_product(x, self.Wx.T, time_major=True)  # (T, batch, 4u)
-        # without a cache, one slot of each per-step buffer is reused, except
-        # for the hidden states when the whole sequence is returned
+        width = -(-batch // 8) * 8
+        xs = np.zeros((steps, self.in_size, width))
+        xs[:, :, :batch] = x.transpose(1, 2, 0)
+        gates = self.Wx @ xs
+        gates += self.b[:, None]
+        # without a cache, one slot of each other per-step buffer is reused,
+        # except for the hidden states when the whole sequence is returned
         kept = steps if cache else 1
-        gates = np.empty((kept, 4 * u, batch))
-        cells = np.empty((kept, u, batch))
-        tanh_c = np.empty((kept, u, batch))
-        hs = np.empty((steps if cache or self.return_sequences else 1, u, batch))
-        h = np.zeros((u, batch))
-        c = np.zeros((u, batch))
-        ig = np.empty((u, batch))
+        cells = np.empty((kept, u, width))
+        tanh_c = np.empty((kept, u, width))
+        hs = np.empty((steps if cache or self.return_sequences else 1, u, width))
+        h = np.zeros((u, width))
+        c = np.zeros((u, width))
+        ig = np.empty((u, width))
         for t in range(steps):
-            pre = xp[t]
-            pre += h.T @ self.Wh.T
-            pre += self.b
-            a = gates[t % kept]
-            a[...] = pre.T
+            a = gates[t]
+            if t:
+                a += self.Wh @ h
             sigmoid(a[: 2 * u], out=a[: 2 * u])
             np.tanh(a[2 * u : 3 * u], out=a[2 * u : 3 * u])
             sigmoid(a[3 * u :], out=a[3 * u :])
@@ -168,31 +169,29 @@ class LstmLayer:
             tc = np.tanh(c, out=tanh_c[t % kept])
             h = np.multiply(a[3 * u :], tc, out=hs[t % hs.shape[0]])
         _check_finite(hs, "lstm forward")
-        self._cache = (x, gates, cells, tanh_c, hs) if cache else None
+        self._cache = (batch, xs, gates, cells, tanh_c, hs) if cache else None
         if self.return_sequences:
-            return np.ascontiguousarray(hs.transpose(2, 0, 1))
-        return h.T
+            return np.ascontiguousarray(hs[:, :, :batch].transpose(2, 0, 1))
+        return h[:, :batch].T
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, gates, cells, tanh_c, hs = _cached(self._cache, "lstm")
-        steps, u, batch = hs.shape
-        dhs = np.zeros((steps, u, batch))
+        batch, xs, gates, cells, tanh_c, hs = _cached(self._cache, "lstm")
+        steps, u, width = hs.shape
+        dhs = np.zeros((steps, u, width))
         if self.return_sequences:
-            dhs[...] = np.transpose(grad_out, (1, 2, 0))
+            dhs[:, :, :batch] = np.transpose(grad_out, (1, 2, 0))
         else:
-            dhs[-1] = np.transpose(grad_out)
-        # pre-activation gate grads: d holds one step, da every step in
-        # (batch, time) row order for the weight gradients
-        da = np.empty((batch, steps, 4 * u))
-        d = np.empty((4 * u, batch))
-        di, df, dg, do = (d[k * u : (k + 1) * u] for k in range(4))
-        dh = np.empty((u, batch))
-        dc = np.empty((u, batch))
-        dh_next = np.zeros((u, batch))
-        dc_next = np.zeros((u, batch))
-        c_zero = np.zeros((u, batch))
+            dhs[-1, :, :batch] = np.transpose(grad_out)
+        # pre-activation gate grads of every step
+        da = np.empty((steps, 4 * u, width))
+        dh = np.empty((u, width))
+        dc = np.empty((u, width))
+        dh_next = np.zeros((u, width))
+        dc_next = np.zeros((u, width))
+        c_zero = np.zeros((u, width))
         for t in range(steps - 1, -1, -1):
             i, f, g, o = (gates[t, k * u : (k + 1) * u] for k in range(4))
+            di, df, dg, do = (da[t, k * u : (k + 1) * u] for k in range(4))
             one_minus = 1.0 - gates[t]
             c_prev = cells[t - 1] if t else c_zero
             np.add(dhs[t], dh_next, out=dh)
@@ -210,16 +209,13 @@ class LstmLayer:
             np.multiply(dh, tanh_c[t], out=do)
             do *= o
             do *= one_minus[3 * u :]
-            da[:, t] = d.T
-            dh_next = (da[:, t] @ self.Wh).T
+            dh_next = self.Wh.T @ da[t]
             np.multiply(dc, f, out=dc_next)
-        da_flat = da.reshape(batch * steps, 4 * u)
-        h_prev = np.zeros((batch, steps, u))
-        h_prev[:, 1:] = hs[:-1].transpose(2, 0, 1)
-        self.grad_Wx = da_flat.T @ x.reshape(batch * steps, self.in_size)
-        self.grad_Wh = da_flat.T @ h_prev.reshape(batch * steps, u)
-        self.grad_b = da_flat.sum(axis=0)
-        return _steps_product(da, self.Wx)
+        self.grad_Wx = (da @ xs.transpose(0, 2, 1)).sum(axis=0)
+        self.grad_Wh = (da[1:] @ hs[:-1].transpose(0, 2, 1)).sum(axis=0)
+        self.grad_b = da.sum(axis=(0, 2))
+        dx = self.Wx.T @ da
+        return np.ascontiguousarray(dx[:, :, :batch].transpose(2, 0, 1))
 
     def parameters(self):
         return [self.Wx, self.Wh, self.b]

@@ -1,7 +1,7 @@
-"""Pin OpenBLAS to one thread before numpy loads. LSTM weights depend on how
-OpenBLAS splits the larger products across threads, so seeded outputs, and
-the golden digests recorded in `test_cli.py`, hold at one thread count only;
-one thread is also what the benchmark runs each stage with."""
+"""Pin OpenBLAS to one thread before numpy loads, the thread count the
+benchmark runs each stage with. Products large enough for OpenBLAS to split
+across threads (an LSTM trained at batch 4 096, say) round differently at
+other counts; `test_cli.py` checks that the golden runs do not."""
 
 import os
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import aedetect
 from aedetect import training
 from aedetect.cli import (
     EXIT_IO,
@@ -437,6 +440,19 @@ class TestExitCodes:
         assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
         assert capsys.readouterr().err \
             == f"error: {out / 'model.json'}: model file has a bad threshold block\n"
+
+    def test_covariance_not_positive_definite_names_the_file(self, pipeline_dir,
+                                                              tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        doc = json.loads((out / "model.json").read_text())
+        doc["covariance"] = {"d": 8, "sigma": (-np.eye(8)).ravel().tolist(),
+                             "epsilon": 0.0}
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["detect", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == f"error: {out / 'model.json'}: model file has a bad covariance block\n"
 
     def test_bad_weight_field_names_the_file(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -899,17 +915,16 @@ class TestMahalanobisPipeline:
 # the CLI's score dispatch was rewritten; any change of output bytes fails.
 # The LSTM model.json digest was re-recorded when the file gained its
 # window_recipe block; without that block the file is byte-identical to the
-# one of digest 7bf7a19f9ccdb6c1. LSTM weights depend on the BLAS thread
-# count; the mse_window digests were re-recorded at the one OpenBLAS thread
-# that `conftest.py` pins (at two threads they read a9437520a73be693 and
-# a5d81cf6a32f48b3). They were re-recorded again (from 599e6d5b2353b4aa and
-# 45582339c0cced74) when an LSTM window came to belong to its end row's
-# partition in place of a seeded window-level validation draw; metrics.csv
-# kept its bytes.
+# one of digest 7bf7a19f9ccdb6c1. The mse_window digests were re-recorded
+# (from 599e6d5b2353b4aa and 45582339c0cced74) when an LSTM window came to
+# belong to its end row's partition in place of a seeded window-level
+# validation draw, and again (from d6cbd4e83a9eaa4a and 67e0d592b7ef4203)
+# when the LSTM layer moved to feature-major products and a tanh-form
+# sigmoid; metrics.csv kept its bytes both times.
 GOLDEN = {
     "mse_point": {"model.json": "c7c69689758628f2", "scores.csv": "12121dcd3b5052b7",
                   "metrics.csv": "4b54a8d7eb80316b"},
-    "mse_window": {"model.json": "d6cbd4e83a9eaa4a", "scores.csv": "67e0d592b7ef4203",
+    "mse_window": {"model.json": "8dce4734d88a207a", "scores.csv": "f4a7c9e653623fb0",
                    "metrics.csv": "056e67315338bd4f"},
     "mahalanobis": {"model.json": "c6c33f8d00c6be3a", "scores.csv": "1b7548dffe2088d2",
                     "metrics.csv": "d5b54cbc241c723b"},
@@ -969,6 +984,25 @@ class TestGoldenOutputs:
         shutil.copytree(gappy_dir, out)
         run_stages(out, ("train", "export-latent"), GOLDEN_FLAGS["mse_point"])
         assert {name: digest(out / name) for name in GOLDEN_TABLES} == GOLDEN_TABLES
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_digests_do_not_depend_on_blas_threads(self, gappy_dir, tmp_path, threads):
+        """Every golden run, in a fresh process whose OpenBLAS starts with
+        its default thread count or with two threads."""
+        env = dict(os.environ, PYTHONPATH=str(Path(aedetect.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        for kind in GOLDEN:
+            out = tmp_path / kind
+            shutil.copytree(gappy_dir, out)
+            code = (f"from aedetect.cli import main\n"
+                    f"for stage in ('train', 'threshold', 'detect', 'eval'):\n"
+                    f"    assert main([stage, '--out-dir', {str(out)!r}, '--seed', '5']"
+                    f" + {[str(f) for f in GOLDEN_FLAGS[kind]]!r}) == 0\n")
+            subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            assert {name: digest(out / name) for name in GOLDEN[kind]} == GOLDEN[kind]
 
 
 class TestModelFileDecidesScoreKind:

@@ -166,9 +166,11 @@ class TestSerialization:
         ("lstm_ae", lambda doc: doc["layers"][1].update(return_sequences=True)),
         ("lstm_ae", lambda doc: doc["layers"][2].update(T=5)),
         ("lstm_ae", lambda doc: doc["window_recipe"].update(stride=0)),
+        ("dense_ae", lambda doc: doc.update(covariance={
+            "d": 3, "sigma": (-np.eye(3)).ravel().tolist(), "epsilon": 0.0})),
     ], ids=["dense-short-W", "layers-not-a-list", "layer-not-an-object",
             "head-activation", "lstm-type", "lstm-return-sequences",
-            "repeat-T", "recipe-stride"])
+            "repeat-T", "recipe-stride", "sigma-not-positive-definite"])
     def test_shape_inconsistency(self, arch, corrupt):
         if arch == "dense_ae":
             bundle = ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aedetect.errors import NumericError, ValidationError
-from aedetect.models import LstmAutoencoder
+from aedetect.models import DenseAutoencoder, LstmAutoencoder
 from aedetect.neuralnet import (
     Adam,
     DenseLayer,
@@ -167,6 +167,22 @@ class TestLstm:
         c = i * g
         expected = o * np.tanh(c)
         assert np.allclose(layer.forward(x), expected, rtol=0, atol=1e-15)
+
+    def test_matches_batch_major_reference(self):
+        rng = np.random.default_rng(10)
+        layer = LstmLayer(4, 3, return_sequences=True, rng=rng)
+        x = rng.standard_normal((11, 6, 4))
+        u = layer.units
+        h = c = np.zeros((11, u))
+        expected = []
+        for t in range(6):
+            z = x[:, t] @ layer.Wx.T + h @ layer.Wh.T + layer.b
+            i, f, o = (two_branch_sigmoid(z[:, k * u:(k + 1) * u]) for k in (0, 1, 3))
+            c = f * c + i * np.tanh(z[:, 2 * u:3 * u])
+            h = o * np.tanh(c)
+            expected.append(h)
+        assert np.allclose(layer.forward(x), np.stack(expected, axis=1),
+                           rtol=0, atol=1e-14)
 
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(9)
@@ -332,18 +348,64 @@ def two_branch_sigmoid(x):
 
 
 class TestSigmoidBits:
-    def test_matches_two_branch_form_bitwise(self):
+    """`sigmoid` is 0.5 * tanh(x / 2) + 0.5: within 2**-51 of the two-branch
+    form everywhere, and exact where the logistic function is."""
+
+    def test_matches_two_branch_form_within_tolerance(self):
         rng = np.random.default_rng(0)
         x = np.concatenate([
             rng.normal(scale=s, size=2000) for s in (0.1, 1.0, 10.0, 800.0)
-        ] + [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
-                       5e-324, -5e-324, 709.8, -745.1])])
-        with np.errstate(over="ignore", invalid="ignore"):
+        ] + [np.array([5e-324, -5e-324, 709.8, -745.1, 36.0, -36.0])])
+        with np.errstate(over="ignore"):
             expected = two_branch_sigmoid(x)
-            assert sigmoid(x).tobytes() == expected.tobytes()
-            y = x.reshape(2, -1).copy()
-            sigmoid(y, out=y)  # in place
+        assert np.max(np.abs(sigmoid(x) - expected)) <= 2.0 ** -51
+
+    def test_exact_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        y = sigmoid(x)
+        assert y[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(y[4])
+
+    def test_no_floating_point_warning_at_large_magnitude(self):
+        with np.errstate(all="raise"):
+            assert sigmoid(np.array([800.0, -800.0])).tolist() == [1.0, 0.0]
+
+    def test_in_place_equals_out_of_place(self):
+        x = np.random.default_rng(1).normal(scale=5.0, size=(64, 257))
+        expected = sigmoid(x)
+        y = x.copy()
+        assert sigmoid(y, out=y) is y
         assert y.tobytes() == expected.tobytes()
+
+
+WIDTHS = list(range(1, 25)) + list(range(1017, 1033))
+
+
+class TestWidthInvariance:
+    """An item's outputs do not depend on how many items share its forward
+    pass, at every width residue mod 8."""
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_lstm_prefix_equals_full_pass(self, cache):
+        model = LstmAutoencoder(d=8, window_length=5, seed=4)
+        x = np.random.default_rng(0).random((1040, 5, 8))
+        recon, latent = model.forward(x, cache=cache)
+        for n in WIDTHS:
+            part_recon, part_latent = model.forward(x[:n], cache=cache)
+            assert part_recon.tobytes() == recon[:n].tobytes(), n
+            assert part_latent.tobytes() == latent[:n].tobytes(), n
+
+    def test_dense_prefix_equals_full_pass(self):
+        # from 1017 rows only: below about 150 rows (d = 8) OpenBLAS's
+        # SkylakeX kernels take a small-matrix path for the 36-wide products
+        # that rounds differently
+        model = DenseAutoencoder(d=8, seed=3)
+        x = np.random.default_rng(0).random((1040, 8))
+        recon, latent = model.forward(x, cache=False)
+        for n in WIDTHS[24:]:
+            part_recon, part_latent = model.forward(x[:n], cache=False)
+            assert part_recon.tobytes() == recon[:n].tobytes(), n
+            assert part_latent.tobytes() == latent[:n].tobytes(), n
 
 
 class TestInferencePass:
@@ -383,5 +445,5 @@ def test_seeded_lstm_training_bytes_are_pinned():
     assert report.epochs_run == 2 and report.best_epoch == 2
     digest = hashlib.sha256(b"".join(p.tobytes() for p in model.parameters()))
     assert digest.hexdigest() == (
-        "fc53d98aa2d9da8d9ec132201b90662bf3de6102c39c31df76e0c1af23422d55"
+        "c6ad253a52daf199ac9fa4e66bdf5764cc038276e6be2f32c3d1ad5a81e42308"
     )
