@@ -374,10 +374,9 @@ def cmd_train(config: RunConfig) -> int:
         stride, length = config.window_stride, config.window_length
     (train_items, _, train_labels), (val_items, _, val_labels) = _items(
         data, model, stride, "train", "val")
-    # detect and eval score the test items; an item is `length` consecutive
-    # test rows
-    if not any(run.size >= length
-               for run in preprocess.contiguous_runs(data.plan.test_indices)):
+    # detect and eval score the test items
+    if preprocess.window_ends(data.plan.test_indices,
+                              WindowSpec(length, stride or 1)).size == 0:
         raise ValidationError("the test partition yields no items")
     trained, report, cov = training.train(
         model, train_items, val_items, config.train_config(),

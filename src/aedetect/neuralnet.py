@@ -94,6 +94,23 @@ class DenseLayer:
         return [self.grad_W, self.grad_b]
 
 
+GRAD_BLOCK = 1024  # batch columns per weight-gradient product
+
+
+def _step_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over t of a[t] @ b[t].T for (T, m, width) and (T, n, width) arrays,
+    one GRAD_BLOCK-column block of the width at a time, each later block added
+    with `+=` (`sum()` would turn -0.0 into +0.0). OpenBLAS rounds a product
+    with an inner dimension of at most 1 024 alike at any thread count."""
+    def block(lo):
+        cols = slice(lo, lo + GRAD_BLOCK)
+        return (a[:, :, cols] @ b[:, :, cols].transpose(0, 2, 1)).sum(axis=0)
+    total = block(0)
+    for lo in range(GRAD_BLOCK, a.shape[2], GRAD_BLOCK):
+        total += block(lo)
+    return total
+
+
 class LstmLayer:
     """Standard LSTM over (batch, T, in) inputs.
 
@@ -104,9 +121,9 @@ class LstmLayer:
     Inside, everything is feature-major, one column per item: inputs
     (T, in, width), gates (T, 4u, width) straight from `Wx @ x_t` and
     `Wh @ h`, cells and hidden states (T, u, width); i, f share one sigmoid
-    call. Weight gradients are per-step products over the batch, summed over
-    T, so their inner dimension is the batch, not batch * T; at batches up to
-    1 024 their bits do not depend on the BLAS thread count.
+    call. Weight gradients are per-step products over 1 024-column blocks of
+    the batch, summed over T and then over the blocks (`_step_products`), so
+    their bits do not depend on the BLAS thread count at any batch.
 
     `width` is the batch padded with zero columns to a multiple of 8: OpenBLAS
     can round an item's column differently with the product's width when it
@@ -211,8 +228,8 @@ class LstmLayer:
             do *= one_minus[3 * u :]
             dh_next = self.Wh.T @ da[t]
             np.multiply(dc, f, out=dc_next)
-        self.grad_Wx = (da @ xs.transpose(0, 2, 1)).sum(axis=0)
-        self.grad_Wh = (da[1:] @ hs[:-1].transpose(0, 2, 1)).sum(axis=0)
+        self.grad_Wx = _step_products(da, xs)
+        self.grad_Wh = _step_products(da[1:], hs[:-1])
         self.grad_b = da.sum(axis=(0, 2))
         dx = self.Wx.T @ da
         return np.ascontiguousarray(dx[:, :, :batch].transpose(2, 0, 1))

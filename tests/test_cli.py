@@ -1004,6 +1004,31 @@ class TestGoldenOutputs:
                            stdout=subprocess.DEVNULL)
             assert {name: digest(out / name) for name in GOLDEN[kind]} == GOLDEN[kind]
 
+    def test_lstm_model_does_not_depend_on_blas_threads_at_batch_4096(self, tmp_path):
+        """One LSTM batch of all 2 092 training windows spans three 1 024-column
+        weight-gradient blocks; trained in fresh processes whose OpenBLAS
+        runs one and two threads (on a 2-core box its default is two)."""
+        prepared = tmp_path / "prepared"
+        assert run(["synth", "--out-dir", prepared, "--seed", 1,
+                    "--synth.n_samples", 3000]) == EXIT_OK
+        assert run(["prepare", "--out-dir", prepared, "--seed", 1,
+                    "--paths.sensor_csv", prepared / "sensor.csv",
+                    "--paths.fault_csv", prepared / "faults.csv"]) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(Path(aedetect.__file__).parents[1]))
+        models = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            shutil.copytree(prepared, out)
+            args = ["train", "--out-dir", str(out), "--seed", "1",
+                    "--pipeline.architecture", "lstm_ae",
+                    "--train.batch_size", "4096", "--train.max_epochs", "2"]
+            subprocess.run([sys.executable, "-c", "from aedetect.cli import main\n"
+                            f"assert main({args!r}) == 0\n"], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
+
 
 class TestModelFileDecidesScoreKind:
     def test_later_stages_need_no_loss_flag(self, gappy_dir, tmp_path):

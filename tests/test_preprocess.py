@@ -11,7 +11,6 @@ from aedetect.preprocess import (
     SplitPlan,
     WindowSpec,
     apply_scaler,
-    contiguous_runs,
     drop_empty_channels,
     fit_scaler,
     impute_cascade,
@@ -20,6 +19,7 @@ from aedetect.preprocess import (
     plan_split,
     read_matrix_csv,
     read_split_plan,
+    window_ends,
     write_matrix_csv,
     write_split_plan,
 )
@@ -330,9 +330,16 @@ class TestPartitionWindows:
         for window, end in zip(w, ends):
             assert np.array_equal(window[:, 0], np.arange(end - 2, end + 1))
 
-    def test_contiguous_runs_helper(self):
-        runs = contiguous_runs(np.array([1, 2, 3, 7, 8, 20]))
-        assert [r.tolist() for r in runs] == [[1, 2, 3], [7, 8], [20]]
+    @pytest.mark.parametrize("rows, spec, ends", [
+        ([3, 4, 5, 6, 7], WindowSpec(5, 1), [7]),
+        ([3, 4, 5, 6], WindowSpec(5, 1), []),
+        ([0, 1, 2, 3, 10, 11, 12], WindowSpec(2, 5), [1, 11]),
+        ([1, 2, 3, 7, 8, 20], WindowSpec(1, 1), [1, 2, 3, 7, 8, 20]),
+        ([], WindowSpec(3, 1), []),
+    ], ids=["run-of-T", "run-of-T-minus-1", "stride-past-run", "dense", "empty"])
+    def test_window_ends(self, rows, spec, ends):
+        got = window_ends(np.array(rows, dtype=np.int64), spec)
+        assert got.dtype == np.int64 and got.tolist() == ends
 
     def test_empty_rows(self):
         w, wl, ends = partition_windows(np.zeros((5, 2)), np.zeros(5, dtype=bool),
@@ -368,7 +375,8 @@ def concatenated_partition_windows(matrix, labels, rows, spec):
     t, stride = spec.length, spec.stride
     view = np.lib.stride_tricks.sliding_window_view
     pieces, piece_labels, piece_ends = [], [], []
-    for run in contiguous_runs(rows):
+    breaks = [k for k in range(1, rows.size) if rows[k] != rows[k - 1] + 1]
+    for run in np.split(rows, breaks):
         if run.size < t:
             continue
         w = view(matrix[run], t, axis=0)[::stride]
