@@ -43,11 +43,14 @@ val_mask = plan.parts[ends] == 1  # code 1 is the val partition
 print(f"{pool_windows.shape[0]} healthy training windows "
       f"({val_mask.sum()} held for validation), shape {pool_windows.shape[1:]}")
 
+# a window set holds the scaled log once plus one end row per window; a
+# subset keeps some end rows, and training gathers one batch at a time
+train_windows = pool_windows.subset(~val_mask)
 model = LstmAutoencoder(d=log.n_channels, window_length=5, seed=SEED)
 model, report, _ = train(
     model,
-    pool_windows[~val_mask],
-    pool_windows[val_mask],
+    train_windows,
+    pool_windows.subset(val_mask),
     TrainConfig(seed=SEED, learning_rate=1e-3),
     train_labels=pool_labels[~val_mask],
     val_labels=pool_labels[val_mask],
@@ -55,8 +58,7 @@ model, report, _ = train(
 print(f"trained {report.epochs_run} epochs, "
       f"val loss {report.val_losses[0]:.5f} -> {report.val_losses[-1]:.5f}")
 
-train_scores = score_window_mse(model, pool_windows[~val_mask],
-                                from_training=True)
+train_scores = score_window_mse(model, train_windows, from_training=True)
 threshold = fit_threshold(train_scores, alpha=95.0)
 
 test_windows, test_labels, _ = partition_windows(scaled, labels,

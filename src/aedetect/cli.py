@@ -305,23 +305,20 @@ def _items(data: Prepared, model, stride: int | None, *parts: str):
     an item belongs to the partition of its last row. A dense item is one
     row. LSTM items are the model's windows at `stride`, cut once per call
     and never across a gap: from the test rows when the test partition is
-    asked for alone, otherwise from the healthy pool (train and val rows),
-    each window kept by its end row's partition."""
+    asked for alone, otherwise from the healthy pool (train and val rows).
+    Each partition's windows are a window set over the one scaled log,
+    subset by end row, so no window is copied until a batch gathers it."""
     codes = [preprocess.PARTITIONS.index(part) for part in parts]
     if isinstance(model, LstmAutoencoder):
         full = np.empty((data.labels.size, data.train.shape[1]))
         for code, part in enumerate(preprocess.PARTITIONS):
             full[data.plan.parts == code] = getattr(data, part)
-        test = parts == ("test",)
-        rows = data.plan.test_indices if test else data.plan.pool_indices
+        rows = (data.plan.test_indices if parts == ("test",)
+                else data.plan.pool_indices)
         windows, flags, ends = preprocess.partition_windows(
             full, data.labels, rows, WindowSpec(model.window_length, stride))
-        del full
-        if test:
-            found = [(windows, ends, flags)]
-        else:
-            keeps = [data.plan.parts[ends] == code for code in codes]
-            found = [(windows[keep], ends[keep], flags[keep]) for keep in keeps]
+        keeps = [data.plan.parts[ends] == code for code in codes]
+        found = [(windows.subset(keep), ends[keep], flags[keep]) for keep in keeps]
     else:
         rows = [np.flatnonzero(data.plan.parts == code) for code in codes]
         found = [(getattr(data, part), part_rows, data.labels[part_rows])

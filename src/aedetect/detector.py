@@ -82,22 +82,28 @@ def _default_indices(n: int, indices) -> np.ndarray:
     return indices
 
 
-def _chunks(x: np.ndarray) -> list[np.ndarray]:
-    """Balanced chunks (`np.array_split`) of at most SCORE_CHUNK items, so
-    none but a lone chunk is shorter than SCORE_CHUNK / 2 rows: BLAS rounds
-    products of one or a few rows differently, and a short fixed-stride tail
-    would change scores."""
-    return np.array_split(x, max(1, math.ceil(x.shape[0] / SCORE_CHUNK)))
+def _chunks(x):
+    """The slices of `np.array_split(x, k)`, one at a time, for the fewest
+    k chunks of at most SCORE_CHUNK items, so none but a lone chunk is
+    shorter than SCORE_CHUNK / 2 rows: BLAS rounds products of one or a few
+    rows differently, and a short fixed-stride tail would change scores. A
+    window set gathers each chunk only when it is reached."""
+    n = len(x)
+    k = max(1, math.ceil(n / SCORE_CHUNK))
+    size, extra = divmod(n, k)
+    lo = 0
+    for i in range(k):
+        hi = lo + size + (i < extra)
+        yield x[lo:hi]
+        lo = hi
 
 
-def reconstruct(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct(model, x) -> tuple[np.ndarray, np.ndarray]:
     """(reconstruction, latent) of every item, equal bit for bit to
     `model.forward(x)`, from no-cache passes over `_chunks(x)`."""
-    x = np.asarray(x, dtype=np.float64)
-    chunks = _chunks(x)
-    if len(chunks) == 1:
-        return model.forward(x, cache=False)
-    parts = [model.forward(chunk, cache=False) for chunk in chunks]
+    parts = [model.forward(chunk, cache=False) for chunk in _chunks(x)]
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
@@ -133,12 +139,13 @@ def score_pointwise_mse(
 
 
 def score_window_mse(
-    model, windows: np.ndarray, indices=None, from_training: bool = False
+    model, windows, indices=None, from_training: bool = False
 ) -> ScoreSeries:
-    """Per-window mean squared residual over all T*d entries."""
-    w = np.asarray(windows, dtype=np.float64)
-    scores = _chunk_scores(model, w, lambda r: np.mean(r * r, axis=(1, 2)))
-    return ScoreSeries(scores, _default_indices(w.shape[0], indices),
+    """Per-window mean squared residual over all T*d entries; `windows` is
+    a (n, T, d) array or a window set, gathered one chunk at a time."""
+    scores = _chunk_scores(model, windows,
+                           lambda r: np.mean(r * r, axis=(1, 2)))
+    return ScoreSeries(scores, _default_indices(len(windows), indices),
                        "mse_window", from_training)
 
 

@@ -230,19 +230,62 @@ def window_ends(rows: np.ndarray, spec: WindowSpec) -> np.ndarray:
     return np.concatenate([run[spec.length - 1 :: spec.stride] for run in runs])
 
 
+class WindowSet:
+    """The (n, length, channels) windows of a matrix that end at rows `ends`,
+    held as the matrix (not copied) and one int per window. Indexing gathers
+    windows: `ws[idx]` equals `np.asarray(ws)[idx]` for a slice, an int
+    array, a bool mask or an int."""
+
+    ndim = 3
+
+    def __init__(self, matrix: np.ndarray, ends: np.ndarray, length: int):
+        self.matrix, self.ends, self.length = matrix, ends, length
+        rows, width = matrix.shape
+        # frame k is the window of rows k .. k + length - 1
+        self._frames = np.lib.stride_tricks.as_strided(
+            matrix, (max(rows - length + 1, 0), length, width),
+            (matrix.strides[0], *matrix.strides), writeable=False)
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.ends.size, self.length, self.matrix.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self._frames[self.ends[idx] - (self.length - 1)]
+
+    def subset(self, mask) -> WindowSet:
+        """The windows that end at `ends[mask]`, over the same matrix."""
+        return WindowSet(self.matrix, self.ends[mask], self.length)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+    def tobytes(self) -> bytes:
+        return self[:].tobytes()
+
+
 def partition_windows(
     matrix: np.ndarray,
     labels: np.ndarray,
     rows: np.ndarray,
     spec: WindowSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, length, channels) windows of `rows` whose last rows are
-    `window_ends(rows, spec)`, whether each holds a fault row, and those
-    last rows."""
+) -> tuple[WindowSet, np.ndarray, np.ndarray]:
+    """The windows of `rows` whose last rows are `window_ends(rows, spec)`,
+    as a WindowSet over `matrix`, whether each holds a fault row, and those
+    last rows. No (n, length, channels) array is made: the set and the fault
+    flags cost one int and one bool per window beside the matrix."""
     ends = window_ends(rows, spec)
-    frames = ends[:, None] + np.arange(1 - spec.length, 1)
-    return (np.asarray(matrix, dtype=np.float64)[frames],
-            np.asarray(labels, dtype=bool)[frames].any(axis=1), ends)
+    # fault rows up to each row, so a window's count is a difference of two
+    faults = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool))))
+    return (WindowSet(np.asarray(matrix, dtype=np.float64), ends, spec.length),
+            faults[ends + 1] > faults[ends + 1 - spec.length], ends)
 
 
 def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:

@@ -215,12 +215,12 @@ def train(
     weights restored), the per-epoch report, and the frozen residual
     covariance when the Mahalanobis loss is active.
 
-    Items are snapshots (batch, d) for the dense model or windows
-    (batch, T, d) for the sequence model; both must be healthy-only, which is
+    Items are snapshots, a (n, d) array for the dense model, or windows, a
+    (n, T, d) array or a window set for the sequence model; each batch and
+    validation slice is taken by indexing, so a window set gathers only the
+    windows of one batch at a time. Both must be healthy-only, which is
     enforced whenever label vectors are passed.
     """
-    train_items = np.asarray(train_items, dtype=np.float64)
-    val_items = np.asarray(val_items, dtype=np.float64)
     for name, labels in (("train", train_labels), ("validation", val_labels)):
         if labels is not None and np.asarray(labels, dtype=bool).any():
             raise LeakageError(f"{name} items contain fault-labelled samples")

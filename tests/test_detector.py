@@ -19,6 +19,7 @@ from aedetect.detector import (
 )
 from aedetect.errors import LeakageError, ValidationError
 from aedetect.models import DenseAutoencoder, LstmAutoencoder
+from aedetect.preprocess import WindowSpec, partition_windows
 from aedetect.training import CovarianceModel, estimate_residual_covariance
 
 
@@ -330,6 +331,21 @@ class TestChunkedScoring:
         spy = ForwardSpy(wmodel)
         score_window_mse(spy, w)
         self.assert_chunked(spy, n)
+
+    def test_window_set_scores_equal_its_tensor(self):
+        # 1 025 windows over one run of rows: two chunks, gathered one at a time
+        model, n, t = LstmAutoencoder(d=8, window_length=5, seed=4), 1025, 5
+        matrix = np.random.default_rng(n).random((n + t - 1, 8))
+        ws, _, _ = partition_windows(matrix, np.zeros(n + t - 1, dtype=bool),
+                                     np.arange(n + t - 1), WindowSpec(t, 1))
+        w = np.asarray(ws)
+        assert w.shape == (n, t, 8)
+        spy = ForwardSpy(model)
+        scores = score_window_mse(spy, ws).scores
+        self.assert_chunked(spy, n)
+        assert scores.tobytes() == score_window_mse(model, w).scores.tobytes()
+        assert (extract_latent(model, ws).tobytes()
+                == extract_latent(model, w).tobytes())
 
     @staticmethod
     def assert_chunked(spy, n):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -368,6 +369,60 @@ class TestPartitionWindows:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+    def window_set_case(self):
+        """A window set over a 60-row log whose rows have gaps."""
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((60, 3))
+        rows = np.flatnonzero(rng.random(60) < 0.8)
+        ws, _, ends = partition_windows(matrix, np.zeros(60, dtype=bool), rows,
+                                        WindowSpec(4, 1))
+        assert len(ws) == ends.size > 2
+        return matrix, ws, ends
+
+    def test_window_set_is_the_gathered_tensor(self):
+        matrix, ws, ends = self.window_set_case()
+        tensor = matrix[ends[:, None] + np.arange(1 - 4, 1)]
+        full = np.asarray(ws)
+        assert ws.shape == full.shape == tensor.shape
+        assert full.dtype == np.float64 and np.array_equal(full, tensor)
+
+    def test_window_set_indexing_equals_the_tensor(self):
+        _, ws, ends = self.window_set_case()
+        full = np.asarray(ws)
+        mask = np.arange(ends.size) % 3 == 1
+        for idx in (slice(1, -1), slice(None, None, 2), np.array([2, 0, 2]),
+                    mask, 1, -1):
+            got = ws[idx]
+            assert got.shape == full[idx].shape
+            assert np.array_equal(got, full[idx])
+
+    def test_window_set_subset_keeps_masked_ends(self):
+        matrix, ws, ends = self.window_set_case()
+        mask = ends % 2 == 0
+        sub = ws.subset(mask)
+        assert sub.matrix is matrix
+        assert np.array_equal(sub.ends, ends[mask])
+        assert np.array_equal(np.asarray(sub), np.asarray(ws)[mask])
+
+    def test_pool_split_holds_no_window_tensor(self):
+        # 3 000 rows x 8 channels at T = 40: an (n, T, d) tensor of the pool
+        # alone is about 40x the matrix's bytes
+        rows, spec = 3000, WindowSpec(40, 1)
+        matrix = np.random.default_rng(4).standard_normal((rows, 8))
+        labels = np.zeros(rows, dtype=bool)
+        plan = plan_split(labels, seed=4)
+        tracemalloc.start()
+        try:
+            windows, flags, ends = partition_windows(matrix, labels,
+                                                     plan.pool_indices, spec)
+            found = [(windows.subset(keep), ends[keep], flags[keep])
+                     for keep in (plan.parts[ends] == code for code in (0, 1))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(items) for items, _, _ in found) == ends.size > 2000
+        assert peak < 4 * matrix.nbytes
 
 
 def concatenated_partition_windows(matrix, labels, rows, spec):
