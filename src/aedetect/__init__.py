@@ -16,7 +16,6 @@ from .detector import (
     ScoreSeries,
     ThresholdSpec,
     detect,
-    extract_latent,
     fit_threshold,
     score_mahalanobis,
     score_pointwise_mse,

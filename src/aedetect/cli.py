@@ -1,9 +1,9 @@
 """Batch command-line front-end wiring the pipeline stages through files.
 
 Stages communicate only via the files they write, which keeps leakage
-auditable: prepare -> train -> threshold -> detect -> eval, plus synth and
-export-latent. Configuration is an INI file whose keys are all mirrored as
---section.key flags (flags win over the file, the file wins over defaults).
+auditable: prepare -> train -> threshold -> detect -> eval, plus synth.
+Configuration is an INI file whose keys are all mirrored as --section.key
+flags (flags win over the file, the file wins over defaults).
 
 Exit codes: 0 success, 1 I/O, 2 validation/config, 3 numeric failure.
 """
@@ -152,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="aedetect",
         description="Autoencoder anomaly detection for minute-resolution sensor logs",
     )
-    parser.add_argument("command", choices=[
-        "prepare", "train", "threshold", "detect", "eval", "synth", "export-latent",
-    ])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="INI config file")
     for section, keys in SECTIONS.items():
         for key in keys:
@@ -469,23 +467,6 @@ def cmd_synth(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export_latent(config: RunConfig) -> int:
-    bundle, data = _load_stage(config, thresholded=False)
-    [(items, indices, _truth)] = _items(data, bundle.model, bundle.window_stride,
-                                        "test")
-    latent = detector.extract_latent(bundle.model, items)
-    out = config.out_path
-    out.mkdir(parents=True, exist_ok=True)
-    dataset.write_table(
-        out / "latent.csv",
-        ["index", "timestamp"] + [f"z{k + 1}" for k in range(latent.shape[1])],
-        (",".join((str(int(i)), stamp, *map(repr, row.tolist()))) for i, stamp, row
-         in zip(indices, dataset.format_timestamps(data.stamps[indices]), latent)))
-    print(f"exported {latent.shape[0]} latent vectors "
-          f"(width {latent.shape[1]}) to {out / 'latent.csv'}")
-    return EXIT_OK
-
-
 COMMANDS = {
     "prepare": cmd_prepare,
     "train": cmd_train,
@@ -493,7 +474,6 @@ COMMANDS = {
     "detect": cmd_detect,
     "eval": cmd_eval,
     "synth": cmd_synth,
-    "export-latent": cmd_export_latent,
 }
 
 

@@ -1,13 +1,13 @@
-"""Anomaly scoring, percentile thresholds, flagging, and latent export.
+"""Anomaly scoring, percentile thresholds and flagging.
 
 Score kinds: per-snapshot MSE, per-window MSE, and Mahalanobis distance of
 the raw residual under the frozen training covariance. Thresholds are linear
 interpolation percentiles of healthy training scores; flags use strict >.
 
-Every score, the latent export and the residual covariance run the model
-in no-cache passes over balanced chunks of at most SCORE_CHUNK items; a
-score reduces each chunk before the next, so scoring memory does not grow
-with the log's length.
+Every score and the residual covariance run the model in no-cache passes
+over balanced chunks of at most SCORE_CHUNK items; a score reduces each
+chunk before the next, so scoring memory does not grow with the log's
+length.
 """
 
 from __future__ import annotations
@@ -98,24 +98,15 @@ def _chunks(x):
         lo = hi
 
 
-def reconstruct(model, x) -> tuple[np.ndarray, np.ndarray]:
-    """(reconstruction, latent) of every item, equal bit for bit to
-    `model.forward(x)`, from no-cache passes over `_chunks(x)`."""
-    parts = [model.forward(chunk, cache=False) for chunk in _chunks(x)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(outputs) for outputs in zip(*parts))
-
-
 def residuals(model, x: np.ndarray) -> np.ndarray:
-    """`reconstruct(model, x)[0] - x` bit for bit, written chunk by chunk
-    from no-cache passes over `_chunks(x)`, so no full-size reconstruction
-    or latent exists."""
+    """`model.forward(x) - x` bit for bit, written chunk by chunk from
+    no-cache passes over `_chunks(x)`, so no full-size reconstruction
+    exists."""
     x = np.asarray(x, dtype=np.float64)
     r, lo = np.empty_like(x), 0
     for chunk in _chunks(x):
         hi = lo + chunk.shape[0]
-        np.subtract(model.forward(chunk, cache=False)[0], chunk, out=r[lo:hi])
+        np.subtract(model.forward(chunk, cache=False), chunk, out=r[lo:hi])
         lo = hi
     return r
 
@@ -124,7 +115,7 @@ def _chunk_scores(model, x: np.ndarray, score) -> np.ndarray:
     """`score(residual)` of each of `_chunks(x)` in turn, joined: a chunk's
     reconstruction is reduced to its scores before the next pass, so no
     full-size reconstruction or residual exists."""
-    return np.concatenate([score(model.forward(chunk, cache=False)[0] - chunk)
+    return np.concatenate([score(model.forward(chunk, cache=False) - chunk)
                            for chunk in _chunks(x)])
 
 
@@ -203,7 +194,3 @@ def detect(scores: ScoreSeries, spec: ThresholdSpec) -> np.ndarray:
         )
     return scores.scores > spec.tau
 
-
-def extract_latent(model, x: np.ndarray) -> np.ndarray:
-    """Encoder output per item, shape (batch, latent_width)."""
-    return reconstruct(model, x)[1]

@@ -28,32 +28,26 @@ LATENT = 8  # width of both bottlenecks
 
 class _LayerStack:
     """Layers run front to back on (batch, *item_shape) inputs; `forward`
-    also returns the output of layer `latent_index`, the latent code."""
+    returns the reconstruction, of the input's shape."""
 
     architecture: str
-    latent_index: int
-    latent_width = LATENT
 
     def __init__(self, item_shape: tuple[int, ...], layers: list):
         self.item_shape = item_shape
         self.d = item_shape[-1]
         self.layers = layers
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent); cache=False is the inference
-        pass, which `backward` cannot follow."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """cache=False is the inference pass, which `backward` cannot follow."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[1:] != self.item_shape:
             raise ValidationError(
                 f"expected (batch, {', '.join(map(str, self.item_shape))}), "
                 f"got {h.shape}"
             )
-        latent = None
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             h = layer.forward(h, cache)
-            if i == self.latent_index:
-                latent = h
-        return h, latent
+        return h
 
     def backward(self, grad_recon: np.ndarray) -> np.ndarray:
         g = grad_recon
@@ -72,7 +66,6 @@ class DenseAutoencoder(_LayerStack):
     """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh."""
 
     architecture = "dense_ae"
-    latent_index = 2
 
     def __init__(self, d: int, seed: int = 0):
         if d < 1:
@@ -85,11 +78,9 @@ class DenseAutoencoder(_LayerStack):
 
 class LstmAutoencoder(_LayerStack):
     """Sequence autoencoder LSTM(16)->LSTM(8) -> repeat -> LSTM(8)->LSTM(16)
-    -> shared tanh dense head; reconstructs (batch, T, d) windows, and the
-    latent is the encoder's end state."""
+    -> shared tanh dense head; reconstructs (batch, T, d) windows."""
 
     architecture = "lstm_ae"
-    latent_index = 1
 
     def __init__(self, d: int, window_length: int = 5, seed: int = 0):
         if d < 1 or window_length < 1:

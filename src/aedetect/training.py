@@ -43,9 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValidationError(f"loss must be one of {LOSS_KINDS}")
-        if self.max_epochs < 0:
-            raise ValidationError("max_epochs must be >= 0")
         positive = {
+            "max_epochs": self.max_epochs,
             "learning_rate": self.learning_rate,
             "batch_size": self.batch_size,
             "es_patience": self.es_patience,
@@ -53,8 +52,9 @@ class TrainConfig:
             "warmup_epochs": self.warmup_epochs,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValidationError(
+                    f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValidationError(
                 f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
@@ -197,7 +197,7 @@ def _epoch_loss(model, items: np.ndarray, loss_fn, batch_size: int) -> float:
     total = 0.0
     for lo in range(0, items.shape[0], batch_size):
         batch = items[lo : lo + batch_size]
-        xhat, _ = model.forward(batch, cache=False)
+        xhat = model.forward(batch, cache=False)
         loss, _ = loss_fn(batch, xhat)
         total += loss * batch.shape[0]
     return total / items.shape[0]
@@ -253,7 +253,7 @@ def train(
         epoch_total = 0.0
         for lo in range(0, n, config.batch_size):
             batch = train_items[perm[lo : lo + config.batch_size]]
-            xhat, _ = model.forward(batch)
+            xhat = model.forward(batch)
             loss, grad = loss_fn(batch, xhat)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -282,10 +282,10 @@ def train(
             optimizer.learning_rate *= config.plateau_factor
 
     # mahalanobis runs shorter than the warm-up still need a covariance
-    if use_mahalanobis and cov is None and report.epochs_run > 0:
+    if use_mahalanobis and cov is None:
         cov = estimate_residual_covariance(model, train_items)
         report.warmup_epochs = report.epochs_run
 
-    for p, w in zip(model.parameters(), best_weights):  # none after 0 epochs
+    for p, w in zip(model.parameters(), best_weights):
         p[...] = w
     return model, report, cov

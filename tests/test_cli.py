@@ -83,7 +83,7 @@ CONFIG_TEXT = st.tuples(
 # a run's (architecture, loss), LSTM twice as often since its windows are
 # what can outgrow a test run, and every other key that synth and the
 # pipeline stages read, at ordinary and edge values, on a log small enough
-# for a seven-stage run
+# for a six-stage run
 RUN_MODEL = st.sampled_from((("dense_ae", "mse"), ("dense_ae", "mahalanobis"),
                              ("lstm_ae", "mse"), ("lstm_ae", "mse")))
 RUN_VALUES = st.fixed_dictionaries({
@@ -132,7 +132,7 @@ def scored_dir(pipeline_dir, tmp_path_factory):
 
 
 # the pipeline stages that read each intermediate file
-LATER_STAGES = ("threshold", "detect", "eval", "export-latent")
+LATER_STAGES = ("threshold", "detect", "eval")
 FILE_READERS = {
     **{name: ("train",) + LATER_STAGES
        for name in ("train.csv", "val.csv", "test.csv", "scaler.json")},
@@ -349,6 +349,24 @@ class TestExitCodes:
         assert run(["train", "--out-dir", pipeline_dir,
                     "--pipeline.architecture", "lstm_ae",
                     "--pipeline.loss", "mahalanobis"]) == EXIT_VALIDATION
+
+    def test_unknown_stage_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-latent"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,raw", [("learning_rate", "nan"),
+                                         ("learning_rate", "inf"),
+                                         ("max_epochs", "0")])
+    def test_untrainable_setting_exits_2_naming_it(self, pipeline_dir, tmp_path,
+                                                   capsys, key, raw):
+        model_file = tmp_path / "m.json"
+        assert run(["train", "--out-dir", pipeline_dir, "--seed", 5,
+                    "--paths.model_file", model_file,
+                    f"--train.{key}", raw]) == EXIT_VALIDATION
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+        assert not model_file.exists()
 
     def test_detect_without_threshold(self, pipeline_dir, tmp_path):
         assert run(["train", "--out-dir", pipeline_dir, "--seed", 5,
@@ -676,8 +694,7 @@ class TestExitCodes:
             for key, value in values.items():
                 flags += [f"--{key}", str(value)]
             trained = False
-            for stage in ("synth", "prepare", "train", "threshold", "detect", "eval",
-                          "export-latent"):
+            for stage in ("synth", "prepare", "train", "threshold", "detect", "eval"):
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(err):
@@ -696,7 +713,7 @@ class TestExitCodes:
                     "--paths.sensor_csv", out / "sensor.csv",
                     "--paths.fault_csv", out / "faults.csv",
                     "--pipeline.train_ratio", 0.5]) == EXIT_OK
-        for stage in ("threshold", "detect", "eval", "export-latent"):
+        for stage in LATER_STAGES:
             capsys.readouterr()
             assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
             err = capsys.readouterr().err
@@ -869,15 +886,6 @@ class TestDeterminism:
         assert (pipeline_dir / "scores.csv").read_bytes() == first
 
 
-class TestLatentExport:
-    def test_latent_csv_has_eight_z_columns(self, pipeline_dir):
-        assert run(["export-latent", "--out-dir", pipeline_dir, "--seed", 5]) \
-            == EXIT_OK
-        with open(pipeline_dir / "latent.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["index", "timestamp"] + [f"z{k}" for k in range(1, 9)]
-
-
 class TestLstmPipeline:
     def test_window_pipeline_round_trip(self, pipeline_dir, tmp_path):
         model_file = tmp_path / "lstm.json"
@@ -930,7 +938,7 @@ GOLDEN = {
                     "metrics.csv": "d5b54cbc241c723b"},
 }
 # the same for every CSV table writer: synth and prepare (the `gappy_dir`
-# files), then train -> export-latent of the mse_point run; recorded before
+# files), then train of the mse_point run; recorded before
 # the writers moved onto one table codec, val.csv and test.csv before the
 # writers joined each body line themselves instead of calling csv.writer
 GOLDEN_TABLES = {
@@ -938,7 +946,6 @@ GOLDEN_TABLES = {
     "labels.csv": "38f7fe68ab46984a", "split_plan.csv": "2867250c04d73dc0",
     "train.csv": "e5393fe7bdf6a2af", "val.csv": "94a63cb735aa9b70",
     "test.csv": "ff30bc3d4cb971cf", "train_report.csv": "782e9b627efba25a",
-    "latent.csv": "c117219f820728f4",
 }
 GOLDEN_FLAGS = {
     "mse_point": ["--train.max_epochs", 2],
@@ -982,7 +989,7 @@ class TestGoldenOutputs:
     def test_tables_match_recorded_digests(self, gappy_dir, tmp_path):
         out = tmp_path / "run"
         shutil.copytree(gappy_dir, out)
-        run_stages(out, ("train", "export-latent"), GOLDEN_FLAGS["mse_point"])
+        run_stages(out, ("train",), GOLDEN_FLAGS["mse_point"])
         assert {name: digest(out / name) for name in GOLDEN_TABLES} == GOLDEN_TABLES
 
     @pytest.mark.parametrize("threads", [None, "2"])

@@ -9,10 +9,9 @@ from aedetect.detector import (
     ScoreSeries,
     ThresholdSpec,
     detect,
-    extract_latent,
     fit_threshold,
     percentile_linear,
-    reconstruct,
+    residuals,
     score_mahalanobis,
     score_pointwise_mse,
     score_window_mse,
@@ -24,13 +23,13 @@ from aedetect.training import CovarianceModel, estimate_residual_covariance
 
 
 class FixedOutput:
-    """Stub model returning a fixed reconstruction (and zero latent)."""
+    """Stub model returning a fixed reconstruction."""
 
     def __init__(self, xhat):
         self.xhat = np.asarray(xhat, dtype=np.float64)
 
     def forward(self, x, cache=True):
-        return self.xhat, np.zeros((self.xhat.shape[0], 8))
+        return self.xhat
 
 
 class ForwardSpy:
@@ -73,7 +72,7 @@ class TestScorePointwiseMse:
         x = rng.random((20, 6))
         model = DenseAutoencoder(d=6, seed=0)
         series = score_pointwise_mse(model, x)
-        xhat, _ = model.forward(x)
+        xhat = model.forward(x)
         for i in range(20):
             expected = sum((xhat[i, j] - x[i, j]) ** 2 for j in range(6)) / 6
             assert series.scores[i] == pytest.approx(expected, rel=1e-12)
@@ -105,7 +104,7 @@ class TestScoreWindowMse:
         w = rng.random((6, 5, 3))
         model = LstmAutoencoder(d=3, window_length=5, seed=0)
         series = score_window_mse(model, w)
-        what, _ = model.forward(w)
+        what = model.forward(w)
         flat = np.mean((what.reshape(6, 15) - w.reshape(6, 15)) ** 2, axis=1)
         assert np.allclose(series.scores, flat, rtol=1e-15, atol=0)
 
@@ -237,21 +236,6 @@ class TestDetect:
             assert frac <= 0.05 + 1.0 / scores.size
 
 
-class TestExtractLatent:
-    def test_zero_weight_model(self):
-        model = DenseAutoencoder(d=4, seed=0)
-        for p in model.parameters():
-            p[:] = 0.0
-        latent = extract_latent(model, np.random.default_rng(9).random((6, 4)))
-        assert latent.shape == (6, 8) and not latent.any()
-
-    def test_equals_forward_latent(self):
-        model = LstmAutoencoder(d=3, window_length=4, seed=2)
-        w = np.random.default_rng(10).random((5, 4, 3))
-        _, expected = model.forward(w)
-        assert np.array_equal(extract_latent(model, w), expected)
-
-
 class TestScoreSeriesInvariants:
     def test_negative_scores_rejected(self):
         with pytest.raises(ValidationError):
@@ -286,20 +270,16 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     @pytest.mark.parametrize("case", (dense_case, lstm_case))
-    def test_reconstruct_and_latent_equal_one_pass(self, case, n):
+    def test_residuals_equal_one_pass(self, case, n):
         model, x = case(n)
-        recon, latent = model.forward(x)
-        chunked, chunked_latent = reconstruct(model, x)
-        assert np.array_equal(chunked, recon)
-        assert np.array_equal(chunked_latent, latent)
-        assert np.array_equal(extract_latent(model, x), latent)
+        assert residuals(model, x).tobytes() == (model.forward(x) - x).tobytes()
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_dense_scores_equal_one_pass(self, n):
         model, x = dense_case(n)
         a = np.random.default_rng(5).standard_normal((8, 8))
         cov = CovarianceModel.from_sigma(a @ a.T + 0.5 * np.eye(8), 0.0)
-        r = model.forward(x)[0] - x
+        r = model.forward(x) - x
         mse = np.mean(r * r, axis=1)
         distance = np.sqrt(np.maximum(
             np.einsum("ij,jk,ik->i", r, cov.sigma_inv, r), 0.0))
@@ -309,7 +289,7 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_window_scores_equal_one_pass(self, n):
         model, w = lstm_case(n)
-        r = model.forward(w)[0] - w
+        r = model.forward(w) - w
         assert np.array_equal(score_window_mse(model, w).scores,
                               np.mean(r * r, axis=(1, 2)))
 
@@ -321,7 +301,6 @@ class TestChunkedScoring:
         calls = [
             lambda spy: score_pointwise_mse(spy, x),
             lambda spy: score_mahalanobis(spy, cov, x),
-            lambda spy: extract_latent(spy, x),
             lambda spy: estimate_residual_covariance(spy, x),
         ]
         for score in calls:
@@ -344,8 +323,6 @@ class TestChunkedScoring:
         scores = score_window_mse(spy, ws).scores
         self.assert_chunked(spy, n)
         assert scores.tobytes() == score_window_mse(model, w).scores.tobytes()
-        assert (extract_latent(model, ws).tobytes()
-                == extract_latent(model, w).tobytes())
 
     @staticmethod
     def assert_chunked(spy, n):

@@ -31,14 +31,11 @@ class TestDenseAutoencoder:
     def test_zero_weights_give_zero_outputs(self):
         model = DenseAutoencoder(d=5, seed=0)
         zero_weights(model)
-        recon, latent = model.forward(np.random.default_rng(0).random((3, 5)))
-        assert not recon.any() and not latent.any()
+        assert not model.forward(np.random.default_rng(0).random((3, 5))).any()
 
     def test_output_shapes(self):
         model = DenseAutoencoder(d=51, seed=0)
-        recon, latent = model.forward(np.zeros((7, 51)))
-        assert recon.shape == (7, 51)
-        assert latent.shape == (7, 8)
+        assert model.forward(np.zeros((7, 51))).shape == (7, 51)
 
     def test_matches_manual_layer_chain(self):
         model = DenseAutoencoder(d=6, seed=3)
@@ -46,12 +43,7 @@ class TestDenseAutoencoder:
         h = x
         for layer in model.layers:
             h = layer.forward(h)
-        recon, latent = model.forward(x)
-        assert np.array_equal(recon, h)
-        latent_manual = x
-        for layer in model.layers[:3]:
-            latent_manual = layer.forward(latent_manual)
-        assert np.array_equal(latent, latent_manual)
+        assert np.array_equal(model.forward(x), h)
 
     def test_parameter_count_formula(self):
         # sum of out*in + out along d -> 36 -> 12 -> 8 -> 12 -> 36 -> d
@@ -61,29 +53,21 @@ class TestDenseAutoencoder:
         assert sum(p.size for p in DenseAutoencoder(d=51, seed=0).parameters()) \
             == expected
 
-    def test_latent_width_is_bottleneck(self):
-        assert DenseAutoencoder(d=20, seed=0).latent_width == 8
-
 
 class TestLstmAutoencoder:
     def test_zero_weights_zero_reconstruction(self):
         model = LstmAutoencoder(d=4, window_length=5, seed=0)
         zero_weights(model)
-        recon, latent = model.forward(np.random.default_rng(0).random((2, 5, 4)))
-        assert not recon.any() and not latent.any()
+        assert not model.forward(np.random.default_rng(0).random((2, 5, 4))).any()
 
     def test_shapes(self):
         model = LstmAutoencoder(d=51, window_length=5, seed=0)
-        recon, latent = model.forward(np.zeros((3, 5, 51)))
-        assert recon.shape == (3, 5, 51)
-        assert latent.shape == (3, 8)
+        assert model.forward(np.zeros((3, 5, 51))).shape == (3, 5, 51)
 
     @pytest.mark.parametrize("batch,steps,d", [(1, 3, 2), (4, 5, 8), (2, 7, 3)])
     def test_output_shape_equals_input_shape(self, batch, steps, d):
         model = LstmAutoencoder(d=d, window_length=steps, seed=1)
-        recon, latent = model.forward(np.zeros((batch, steps, d)))
-        assert recon.shape == (batch, steps, d)
-        assert latent.shape == (batch, model.latent_width)
+        assert model.forward(np.zeros((batch, steps, d))).shape == (batch, steps, d)
 
     def test_matches_manual_chain(self):
         model = LstmAutoencoder(d=4, window_length=5, seed=2)
@@ -91,8 +75,7 @@ class TestLstmAutoencoder:
         h = x
         for layer in model.layers:
             h = layer.forward(h)
-        recon, _ = model.forward(x)
-        assert np.array_equal(recon, h)
+        assert np.array_equal(model.forward(x), h)
 
     def test_encoder_stack_sizes(self):
         model = LstmAutoencoder(d=10, window_length=5, seed=0)
@@ -135,10 +118,10 @@ class TestSerialization:
     def test_forward_identical_after_reload(self, tmp_path):
         model = LstmAutoencoder(d=4, window_length=5, seed=7)
         x = np.random.default_rng(3).random((2, 5, 4))
-        before, _ = model.forward(x)
+        before = model.forward(x)
         path = tmp_path / "m.json"
         save_model(ModelBundle(model, make_scaler(4)), path)
-        after, _ = load_model(path).model.forward(x)
+        after = load_model(path).model.forward(x)
         assert np.array_equal(before, after)
 
     def test_unknown_schema_version(self, tmp_path):
