@@ -1,8 +1,9 @@
 """Mahalanobis variant of the snapshot pipeline.
 
-Training warms up with plain MSE for five epochs, estimates the residual
+Training warms up with plain MSE for five epochs, estimates a whitening
 covariance on healthy training data, freezes it, and continues with the
-whitened-residual loss; scoring uses the Mahalanobis distance
+whitened-residual loss. Once the best epoch's weights are restored, the
+residual covariance is fitted on them; scoring uses its Mahalanobis distance
 D = sqrt(r' Sigma^-1 r), which inflates errors in directions where healthy
 residuals are small. The demo compares the plain-MSE and Mahalanobis flags
 on the same test partition.

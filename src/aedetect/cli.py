@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from array import array
 from dataclasses import dataclass, fields
@@ -359,6 +360,7 @@ def _score(bundle: ModelBundle, items, indices,
 
 
 def cmd_train(config: RunConfig) -> int:
+    train_config = config.train_config()  # a bad value exits before any read
     data = _load_prepared(config)
     d = data.train.shape[1]
     if config.architecture == "dense_ae":
@@ -374,7 +376,7 @@ def cmd_train(config: RunConfig) -> int:
                               WindowSpec(length, stride or 1)).size == 0:
         raise ValidationError("the test partition yields no items")
     trained, report, cov = training.train(
-        model, train_items, val_items, config.train_config(),
+        model, train_items, val_items, train_config,
         train_labels=train_labels, val_labels=val_labels,
     )
 
@@ -422,12 +424,16 @@ def cmd_eval(config: RunConfig) -> int:
     out = config.out_path
     [(_, expected, truth)] = _items(data, bundle.model, bundle.window_stride, "test")
     del data
-    rows, flagged = array("q"), bytearray()
+    rows, scores, flagged = array("q"), array("d"), bytearray()
 
     def parse(row):
         if row[3] not in ("0", "1"):
             raise ValueError(f"flagged must be 0 or 1, got {row[3]!r}")
+        score = float(row[2])
+        if not math.isfinite(score):
+            raise ValueError(f"score must be finite, got {row[2]!r}")
         rows.append(int(row[0]))
+        scores.append(score)
         flagged.append(row[3] == "1")
 
     dataset.read_table(out / "scores.csv", parse, SCORES_HEADER)
@@ -437,6 +443,11 @@ def cmd_eval(config: RunConfig) -> int:
         raise ValidationError(
             "scores.csv does not align with the test items; re-run detect"
         )
+    # detect writes repr(score) and the model file repr(tau), so an untouched
+    # pipeline always agrees
+    if (flags != (np.frombuffer(scores) > bundle.threshold.tau)).any():
+        raise ValidationError(f"scores.csv flags disagree with the threshold in "
+                              f"{config.model_path}; re-run detect")
 
     report = evaluation.metrics(evaluation.confusion(flags, truth))
     evaluation.write_metrics_csv(report, out / "metrics.csv")

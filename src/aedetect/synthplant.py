@@ -95,16 +95,6 @@ class PlantConfig:
                     raise ValidationError(f"fault channel {c} out of range")
 
 
-def common_factor_mixing(n_channels: int, correlation: float) -> np.ndarray:
-    """Unit-row-norm mixing matrix giving every channel pair correlation
-    ~`correlation` through one shared noise factor."""
-    if not 0.0 <= correlation < 1.0:
-        raise ValidationError("correlation must lie in [0, 1)")
-    a = np.sqrt(1.0 - correlation)
-    b = (-a + np.sqrt(a * a + n_channels * correlation)) / n_channels
-    return a * np.eye(n_channels) + b * np.ones((n_channels, n_channels))
-
-
 def _dct_basis(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis, columns = basis vectors."""
     c = np.arange(n)[:, None]

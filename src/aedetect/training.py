@@ -9,9 +9,11 @@ and training stops once `stale` reaches `es_patience`; the best weights are
 restored at the end.
 
 The Mahalanobis path trains with plain MSE for `warmup_epochs` epochs, then
-estimates the residual covariance once on the training residuals, freezes it,
-and continues with the whitened-residual loss. The validation state watches
-one stream across the switch.
+fits a whitening covariance on the training residuals, freezes it, and
+continues with the whitened-residual loss. The validation state watches one
+stream across the switch. The covariance that `train` returns is fitted once,
+on the training residuals of the restored best weights, so it belongs to the
+weights the model file ships.
 """
 
 from __future__ import annotations
@@ -212,8 +214,8 @@ def train(
     val_labels: np.ndarray | None = None,
 ) -> tuple[object, TrainReport, CovarianceModel | None]:
     """Run the full training protocol; returns the trained model (best
-    weights restored), the per-epoch report, and the frozen residual
-    covariance when the Mahalanobis loss is active.
+    weights restored), the per-epoch report, and, when the Mahalanobis loss
+    is active, the residual covariance of the restored weights.
 
     Items are snapshots, a (n, d) array for the dense model, or windows, a
     (n, T, d) array or a window set for the sequence model; each batch and
@@ -234,20 +236,14 @@ def train(
     optimizer = Adam(model.parameters(), config.learning_rate)
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
-    cov: CovarianceModel | None = None
+    loss_fn = mse_loss
     best_loss, best_weights, stale = np.inf, [], 0
     n = train_items.shape[0]
 
     for epoch in range(1, config.max_epochs + 1):
-        in_warmup = use_mahalanobis and epoch <= config.warmup_epochs
-        if use_mahalanobis and not in_warmup and cov is None:
-            cov = estimate_residual_covariance(model, train_items)
-            report.warmup_epochs = epoch - 1
-
-        if use_mahalanobis and not in_warmup:
-            loss_fn = lambda x, xhat: mahalanobis_loss(x, xhat, cov)
-        else:
-            loss_fn = mse_loss
+        if use_mahalanobis and epoch == config.warmup_epochs + 1:
+            whitening = estimate_residual_covariance(model, train_items)
+            loss_fn = lambda x, xhat: mahalanobis_loss(x, xhat, whitening)
 
         perm = rng.permutation(n)
         epoch_total = 0.0
@@ -281,11 +277,9 @@ def train(
         if stale % config.plateau_patience == 0:
             optimizer.learning_rate *= config.plateau_factor
 
-    # mahalanobis runs shorter than the warm-up still need a covariance
-    if use_mahalanobis and cov is None:
-        cov = estimate_residual_covariance(model, train_items)
-        report.warmup_epochs = report.epochs_run
-
     for p, w in zip(model.parameters(), best_weights):
         p[...] = w
-    return model, report, cov
+    if not use_mahalanobis:
+        return model, report, None
+    report.warmup_epochs = min(config.warmup_epochs, report.epochs_run)
+    return model, report, estimate_residual_covariance(model, train_items)

@@ -34,7 +34,7 @@ from aedetect.cli import (
 )
 from aedetect.dataset import SensorLog, format_timestamps, write_sensor_csv, write_table
 from aedetect.errors import ParseError
-from aedetect.models import LstmAutoencoder
+from aedetect.models import LstmAutoencoder, load_model
 from aedetect.preprocess import PARTITIONS, read_matrix_csv, read_split_plan
 
 
@@ -368,6 +368,11 @@ class TestExitCodes:
         assert f"{key} must be positive and finite" in capsys.readouterr().err
         assert not model_file.exists()
 
+    def test_bad_train_setting_exits_before_reading_files(self, tmp_path, capsys):
+        assert run(["train", "--out-dir", tmp_path,
+                    "--train.learning_rate", "nan"]) == EXIT_VALIDATION
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+
     def test_detect_without_threshold(self, pipeline_dir, tmp_path):
         assert run(["train", "--out-dir", pipeline_dir, "--seed", 5,
                     "--train.max_epochs", 1,
@@ -420,6 +425,13 @@ class TestExitCodes:
           for value in ("2", "-1", "01")),
         pytest.param("scores.csv", set_cell(0, "9" * 30), id="scores.csv-huge-index"),
         pytest.param("scores.csv", set_cell(3, "7"), id="scores.csv-flag-7"),
+        pytest.param("scores.csv",
+                     lambda rows: set_cell(3, "01"[rows[1][3] == "0"])(rows),
+                     id="scores.csv-flipped-flag"),
+        pytest.param("scores.csv", set_cell(2, "abc"), id="scores.csv-score-abc"),
+        pytest.param("scores.csv",
+                     lambda rows: set_cell(3, "0")(set_cell(2, "nan")(rows)),
+                     id="scores.csv-score-nan-unflagged"),
     ))
     def test_corrupt_prepared_file_is_parse_error(self, pipeline_dir, tmp_path,
                                                   capsys, name, text):
@@ -818,15 +830,19 @@ class TestDetectAndEval:
         assert int(values["tp"]) + int(values["fn"]) > 0
 
     def test_perfect_flags_give_perfect_metrics(self, pipeline_dir):
-        # overwrite the flag column with the ground truth, then re-evaluate
+        # overwrite the flag column with the ground truth and put each score
+        # on the side of tau that its flag says, then re-evaluate
+        assert run(["detect", "--out-dir", pipeline_dir, "--seed", 5]) == EXIT_OK
         with open(pipeline_dir / "labels.csv") as fh:
             reader = csv.reader(fh)
             next(reader)
             truth = {int(r[0]): r[2] for r in reader}
+        tau = json.loads((pipeline_dir / "model.json").read_text())["threshold"]["tau"]
         with open(pipeline_dir / "scores.csv") as fh:
             rows = list(csv.reader(fh))
         for row in rows[1:]:
             row[3] = truth[int(row[0])]
+            row[2] = repr(2.0 * tau + 1.0 if row[3] == "1" else 0.0)
         with open(pipeline_dir / "scores.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert run(["eval", "--out-dir", pipeline_dir, "--seed", 5]) == EXIT_OK
@@ -838,6 +854,20 @@ class TestDetectAndEval:
         assert float(values["specificity"]) == 1.0
         assert float(values["f1"]) == 1.0
         run(["detect", "--out-dir", pipeline_dir, "--seed", 5])  # restore
+
+    def test_eval_rejects_flags_of_an_older_threshold(self, pipeline_dir, tmp_path,
+                                                      capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dir, out)
+        (out / "metrics.csv").unlink(missing_ok=True)
+        for stage, alpha in (("threshold", "95"), ("detect", "95"),
+                             ("threshold", "99.9")):
+            assert run([stage, "--out-dir", out, "--seed", 5,
+                        "--pipeline.alpha", alpha]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["eval", "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+        assert "scores.csv flags disagree with the threshold" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestThreshold:
@@ -916,6 +946,21 @@ class TestMahalanobisPipeline:
         assert run(["eval"] + base) == EXIT_OK
         doc = json.loads(model_file.read_text())
         assert doc["threshold"]["kind"] == "mahalanobis"
+
+    def test_model_file_covariance_fits_the_shipped_weights(self, gappy_dir,
+                                                             tmp_path):
+        # three epochs, best at epoch 2: the covariance of the restored
+        # epoch-2 weights, not of the epoch-3 weights training ended with
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train",), ["--pipeline.loss", "mahalanobis",
+                                     "--train.max_epochs", 3])
+        val_losses = [float(row[2]) for row in read_rows(out / "train_report.csv")[1:]]
+        assert int(np.argmin(val_losses)) + 1 == 2
+        bundle = load_model(out / "model.json")
+        train_items, _ = read_matrix_csv(out / "train.csv")
+        refit = training.estimate_residual_covariance(bundle.model, train_items)
+        assert bundle.covariance.sigma.tobytes() == refit.sigma.tobytes()
 
 
 # sha256 (first 16 hex digits) of each output of a train -> threshold ->

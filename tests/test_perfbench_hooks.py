@@ -109,6 +109,24 @@ def prepared_dir(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("architecture", ("dense_ae", "lstm_ae"))
+def test_stages_read_and_window_once(monkeypatch, prepared_dir, tmp_path,
+                                     architecture):
+    # perfbench/selftest.py pins these counts over a traced run; each stage
+    # reads the three prepared matrices once and an LSTM stage windows once
+    tracer = CountingTracer(monkeypatch)
+    load_script("traced_stage").install(tracer)
+    out = tmp_path / "run"
+    shutil.copytree(prepared_dir, out)
+    windows = int(architecture == "lstm_ae")
+    for stage in ("train", "threshold", "detect", "eval"):
+        tracer.calls.clear()
+        run([stage, "--out-dir", out, "--seed", 5,
+             "--pipeline.architecture", architecture, "--train.max_epochs", 1])
+        assert (tracer.calls["preprocess.read_matrix_csv"],
+                tracer.calls["preprocess.partition_windows"]) == (3, windows), stage
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """perfbench/run.py as a module: it imports its sibling `layers`, and its

@@ -7,7 +7,6 @@ from aedetect.synthplant import (
     ChannelSpec,
     FaultSpec,
     PlantConfig,
-    common_factor_mixing,
     default_config,
     generate,
     structured_mixing,
@@ -94,7 +93,7 @@ class TestGenerate:
     def test_decorrelate_breaks_correlation(self):
         channels = tuple(ChannelSpec(period=60.0, amplitude=0.0, offset=0.0,
                                      noise_sigma=0.5) for _ in range(4))
-        mixing = tuple(map(tuple, common_factor_mixing(4, 0.95)))
+        mixing = tuple(map(tuple, structured_mixing(4, 1, (0.0,) * 4)))
         fault = FaultSpec(start=2000, length=1500, mode="decorrelate",
                           magnitude=1.0)
         config = PlantConfig(n_channels=4, n_samples=4000, seed=1,
@@ -153,10 +152,6 @@ class TestGenerate:
 
 
 class TestMixingMatrices:
-    def test_common_factor_rows_unit_norm(self):
-        m = common_factor_mixing(8, 0.85)
-        assert np.allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-12)
-
     def test_structured_mixing_rows_unit_norm(self):
         jitter = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.45, 0.45)
         m = structured_mixing(8, 2, jitter)

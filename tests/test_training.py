@@ -293,6 +293,21 @@ class TestTrain:
         assert cov is not None and cov.sigma.shape == (4, 4)
         assert np.array_equal(cov.sigma, cov.sigma.T)
 
+    # shorter than the warm-up, ending at its last epoch, and past the switch
+    @pytest.mark.parametrize("max_epochs, warmup_epochs", ((3, 3), (5, 5), (7, 5)))
+    def test_mahalanobis_covariance_fits_the_restored_weights(self, max_epochs,
+                                                              warmup_epochs):
+        x = healthy_blob(600, 4, 7)
+        model = DenseAutoencoder(d=4, seed=4)
+        _, report, cov = train(model, x[:480], x[480:],
+                               TrainConfig(loss="mahalanobis", max_epochs=max_epochs,
+                                           warmup_epochs=5, seed=4,
+                                           batch_size=128))
+        assert report.epochs_run == max_epochs
+        assert report.warmup_epochs == warmup_epochs
+        refit = estimate_residual_covariance(model, x[:480])
+        assert cov.sigma.tobytes() == refit.sigma.tobytes()
+
     def test_mahalanobis_best_weights_come_from_warmup(self):
         # the validation stream switches scale at the warm-up boundary, so
         # the best epoch stays inside the warm-up and early stopping fires
