@@ -63,29 +63,31 @@ class _LayerStack:
 
 
 class DenseAutoencoder(_LayerStack):
-    """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh."""
+    """Snapshot autoencoder d -> 36 -> 12 -> 8 -> 12 -> 36 -> d, all tanh.
+    seed=None draws no weights: they stay zero until a model file fills them."""
 
     architecture = "dense_ae"
 
-    def __init__(self, d: int, seed: int = 0):
+    def __init__(self, d: int, seed: int | None = None):
         if d < 1:
             raise ValidationError("feature count d must be >= 1")
         sizes = (d, 36, 12, LATENT, 12, 36, d)
-        rng = np.random.default_rng(seed)
-        super().__init__((d,), [DenseLayer(a, b, "tanh", rng)
+        rng = None if seed is None else np.random.default_rng(seed)
+        super().__init__((d,), [DenseLayer(a, b, rng)
                                 for a, b in zip(sizes, sizes[1:])])
 
 
 class LstmAutoencoder(_LayerStack):
     """Sequence autoencoder LSTM(16)->LSTM(8) -> repeat -> LSTM(8)->LSTM(16)
-    -> shared tanh dense head; reconstructs (batch, T, d) windows."""
+    -> shared tanh dense head; reconstructs (batch, T, d) windows. seed=None
+    draws no weights: they stay zero until a model file fills them."""
 
     architecture = "lstm_ae"
 
-    def __init__(self, d: int, window_length: int = 5, seed: int = 0):
+    def __init__(self, d: int, window_length: int = 5, seed: int | None = None):
         if d < 1 or window_length < 1:
             raise ValidationError("d and window_length must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.window_length = window_length
         super().__init__((window_length, d), [
             LstmLayer(d, 16, return_sequences=True, rng=rng),
@@ -93,7 +95,7 @@ class LstmAutoencoder(_LayerStack):
             RepeatVector(window_length),
             LstmLayer(LATENT, LATENT, return_sequences=True, rng=rng),
             LstmLayer(LATENT, 16, return_sequences=True, rng=rng),
-            TimeDistributedDense(16, d, "tanh", rng),
+            TimeDistributedDense(16, d, rng),
         ])
 
 
@@ -118,7 +120,7 @@ def _layer_fields(layer) -> tuple[dict, dict]:
         return {"type": "repeat_vector", "T": layer.steps}, {}
     if isinstance(layer, DenseLayer):
         return ({"type": "dense", "in": layer.in_size, "out": layer.out_size,
-                 "activation": layer.activation},
+                 "activation": "tanh"},
                 {"W": layer.W, "b": layer.b})
     u = layer.units
     weights = {}
@@ -199,11 +201,11 @@ def _positive_int(doc: dict, key: str) -> int:
     return value
 
 
-def _block(doc: dict, key: str, parse):
-    """parse(doc[key]); a missing, malformed or numerically invalid block (a
-    covariance that is not positive definite) is a ModelFormatError."""
+def _block(doc: dict, key: str, parse, *args):
+    """parse(doc[key], *args); a missing, malformed or numerically invalid
+    block (a covariance that is not positive definite) is a ModelFormatError."""
     try:
-        return parse(doc[key])
+        return parse(doc[key], *args)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"model file has a bad {key} block") from exc
 
@@ -213,9 +215,10 @@ def _threshold(tdoc) -> ThresholdSpec:
                          kind=str(tdoc["kind"]), fitted_on=int(tdoc["fitted_on"]))
 
 
-def _covariance(cdoc) -> CovarianceModel:
-    cd = int(cdoc["d"])
-    return CovarianceModel.from_sigma(_doc_array(cdoc, "sigma", (cd, cd)),
+def _covariance(cdoc, d: int) -> CovarianceModel:
+    if int(cdoc["d"]) != d:
+        raise ValueError(f"covariance d {cdoc['d']} != the file's d {d}")
+    return CovarianceModel.from_sigma(_doc_array(cdoc, "sigma", (d, d)),
                                       float(cdoc["epsilon"]))
 
 
@@ -241,9 +244,9 @@ def from_document(doc: dict) -> ModelBundle:
         raise ModelFormatError("scaler dimension does not match d")
     arch = doc.get("architecture")
     if arch == "dense_ae":
-        model = DenseAutoencoder(d)
+        model = DenseAutoencoder(d, seed=None)
     elif arch == "lstm_ae":
-        model = LstmAutoencoder(d, _positive_int(doc, "T"))
+        model = LstmAutoencoder(d, _positive_int(doc, "T"), seed=None)
     else:
         raise ModelFormatError(f"unknown architecture {arch!r}")
     layer_docs = doc.get("layers")
@@ -255,7 +258,7 @@ def from_document(doc: dict) -> ModelBundle:
     return ModelBundle(
         model, scaler,
         _block(doc, "threshold", _threshold) if "threshold" in doc else None,
-        _block(doc, "covariance", _covariance) if "covariance" in doc else None,
+        _block(doc, "covariance", _covariance, d) if "covariance" in doc else None,
         _block(doc, "window_recipe", _stride)
         if "window_recipe" in doc else None,
     )

@@ -6,7 +6,8 @@ Everything is float64. Layers keep the forward cache on the instance, so one
 layer object serves one forward/backward pair at a time; `forward(x,
 cache=False)` is the inference pass, which keeps nothing and cannot be
 followed by `backward`. Parameters are plain numpy arrays updated in place by
-the optimizer.
+the optimizer; a layer built without a generator starts them at zero, for a
+model file to fill.
 
 The LSTM layer computes feature-major, one column per item, on a batch padded
 to a multiple of 8 columns (see `LstmLayer`).
@@ -30,7 +31,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int,
+                   shape) -> np.ndarray:
+    """Glorot-uniform draws from `rng`, or zeros when there is none."""
+    if rng is None:
+        return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -49,16 +54,12 @@ def _cached(cache, layer: str):
 
 
 class DenseLayer:
-    """y = act(x @ W.T + b) with act in {tanh, linear}; W is (out, in)."""
+    """y = tanh(x @ W.T + b), the one activation both models use; W is (out, in)."""
 
-    def __init__(self, in_size: int, out_size: int, activation: str = "tanh",
+    def __init__(self, in_size: int, out_size: int,
                  rng: np.random.Generator | None = None):
-        if activation not in ("tanh", "linear"):
-            raise ValidationError(f"unknown activation {activation!r}")
         self.in_size = in_size
         self.out_size = out_size
-        self.activation = activation
-        rng = rng or np.random.default_rng(0)
         self.W = glorot_uniform(rng, in_size, out_size, (out_size, in_size))
         self.b = np.zeros(out_size)
         self.grad_W = np.zeros_like(self.W)
@@ -71,18 +72,14 @@ class DenseLayer:
             raise ValidationError(
                 f"dense layer expects (batch, {self.in_size}), got {x.shape}"
             )
-        z = x @ self.W.T + self.b
-        y = np.tanh(z) if self.activation == "tanh" else z
+        y = np.tanh(x @ self.W.T + self.b)
         _check_finite(y, "dense forward")
         self._cache = (x, y) if cache else None
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, y = _cached(self._cache, "dense")
-        if self.activation == "tanh":
-            dz = grad_out * (1.0 - y * y)
-        else:
-            dz = grad_out
+        dz = grad_out * (1.0 - y * y)
         self.grad_W = dz.T @ x
         self.grad_b = dz.sum(axis=0)
         return dz @ self.W
@@ -141,7 +138,6 @@ class LstmLayer:
         self.in_size = in_size
         self.units = units
         self.return_sequences = return_sequences
-        rng = rng or np.random.default_rng(0)
         self.Wx = glorot_uniform(rng, in_size, units, (4 * units, in_size))
         self.Wh = glorot_uniform(rng, units, units, (4 * units, units))
         self.b = np.zeros(4 * units)
@@ -265,9 +261,9 @@ class RepeatVector:
 class TimeDistributedDense:
     """One shared dense layer applied to every time step of (batch, T, in)."""
 
-    def __init__(self, in_size: int, out_size: int, activation: str = "tanh",
+    def __init__(self, in_size: int, out_size: int,
                  rng: np.random.Generator | None = None):
-        self.inner = DenseLayer(in_size, out_size, activation, rng)
+        self.inner = DenseLayer(in_size, out_size, rng)
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.ndim != 3:

@@ -269,7 +269,6 @@ def generate(config: PlantConfig) -> tuple[SensorLog, FaultSchedule]:
         for j in range(c):
             if mask[:, j].all():
                 mask[0, j] = False  # keep at least one observed value
-        values = values.copy()
         values[mask] = np.nan
 
     start = np.datetime64(config.start_timestamp.replace(" ", "T"), "m")

@@ -102,13 +102,13 @@ def test_acceptance_1_gradient_integrity():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        dense = DenseLayer(4, 3, "tanh", rng)
+        dense = DenseLayer(4, 3, rng)
         worst = max(worst, layer_gradient_error(dense, rng.standard_normal((3, 4)), rng))
         lstm = LstmLayer(3, 2, return_sequences=True, rng=rng)
         worst = max(worst, layer_gradient_error(lstm, rng.standard_normal((2, 3, 3)), rng))
         worst = max(worst, layer_gradient_error(RepeatVector(3),
                                                 rng.standard_normal((2, 4)), rng))
-        tdd = TimeDistributedDense(4, 2, "tanh", rng)
+        tdd = TimeDistributedDense(4, 2, rng)
         worst = max(worst, layer_gradient_error(tdd, rng.standard_normal((2, 3, 4)), rng))
         x, xhat = rng.random((3, 4)), rng.random((3, 4)) + 0.1
         worst = max(worst, loss_gradient_error(mse_loss, x, xhat))

@@ -484,6 +484,24 @@ class TestExitCodes:
         assert capsys.readouterr().err \
             == f"error: {out / 'model.json'}: model file has a bad covariance block\n"
 
+    def test_covariance_of_another_d_names_the_file(self, gappy_dir, tmp_path,
+                                                     capsys):
+        # a 4x4 block in the 8-channel file: every later stage, eval too,
+        # rejects the file before it scores or checks flags
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train", "threshold", "detect"),
+                   ["--pipeline.loss", "mahalanobis", "--train.max_epochs", 2])
+        doc = json.loads((out / "model.json").read_text())
+        doc["covariance"] = {"d": 4, "sigma": np.eye(4).ravel().tolist(),
+                             "epsilon": 0.0}
+        (out / "model.json").write_text(json.dumps(doc))
+        for stage in LATER_STAGES:
+            capsys.readouterr()
+            assert run([stage, "--out-dir", out, "--seed", 5]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {out / 'model.json'}: " \
+                "model file has a bad covariance block\n"
+
     def test_bad_weight_field_names_the_file(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dir, out)
@@ -1080,6 +1098,24 @@ class TestGoldenOutputs:
                            stdout=subprocess.DEVNULL)
             models.append((out / "model.json").read_bytes())
         assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_scoring_stages_draw_no_weights(gappy_dir, tmp_path, kind):
+    """threshold, detect and eval take every weight from the model file: a
+    fresh process that runs one of them never imports numpy.random."""
+    out = tmp_path / "run"
+    shutil.copytree(gappy_dir, out)
+    run_stages(out, ("train",), GOLDEN_FLAGS[kind] + ["--train.max_epochs", 1])
+    env = dict(os.environ, PYTHONPATH=str(Path(aedetect.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    for stage in LATER_STAGES:
+        code = ("import sys\nfrom aedetect.cli import main\n"
+                f"assert main([{stage!r}, '--out-dir', {str(out)!r}, '--seed', '5'])"
+                " == 0\n"
+                f"assert 'numpy.random' not in sys.modules, {stage!r}\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
 
 
 class TestModelFileDecidesScoreKind:

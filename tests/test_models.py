@@ -85,6 +85,20 @@ class TestLstmAutoencoder:
         assert model.layers[4].units == 16
 
 
+@pytest.mark.parametrize("build", (
+    lambda seed: DenseAutoencoder(d=3, seed=seed),
+    lambda seed: LstmAutoencoder(d=3, window_length=4, seed=seed),
+), ids=("dense", "lstm"))
+def test_seed_none_draws_no_weights(build):
+    # every weight matrix is zero; the biases are never drawn, so they equal
+    # a seeded model's (zero, and 1 for an LSTM's forget gate)
+    for bare, seeded in zip(build(None).parameters(), build(0).parameters()):
+        if seeded.ndim == 1:
+            assert np.array_equal(bare, seeded)
+        else:
+            assert not bare.any()
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         model = DenseAutoencoder(d=7, seed=5)
@@ -151,9 +165,12 @@ class TestSerialization:
         ("lstm_ae", lambda doc: doc["window_recipe"].update(stride=0)),
         ("dense_ae", lambda doc: doc.update(covariance={
             "d": 3, "sigma": (-np.eye(3)).ravel().tolist(), "epsilon": 0.0})),
+        ("dense_ae", lambda doc: doc.update(covariance={
+            "d": 2, "sigma": np.eye(2).ravel().tolist(), "epsilon": 0.0})),
     ], ids=["dense-short-W", "layers-not-a-list", "layer-not-an-object",
             "head-activation", "lstm-type", "lstm-return-sequences",
-            "repeat-T", "recipe-stride", "sigma-not-positive-definite"])
+            "repeat-T", "recipe-stride", "sigma-not-positive-definite",
+            "covariance-d"])
     def test_shape_inconsistency(self, arch, corrupt):
         if arch == "dense_ae":
             bundle = ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3))

@@ -58,37 +58,30 @@ def layer_grad_check(layer, x, seed, h=1e-5):
 
 class TestDenseForward:
     def test_zero_weights_zero_output(self):
-        layer = DenseLayer(3, 2, "tanh")
+        layer = DenseLayer(3, 2)
         layer.W[:] = 0.0
         assert np.array_equal(layer.forward(np.ones((4, 3))), np.zeros((4, 2)))
 
     def test_scalar_tanh_value(self):
-        layer = DenseLayer(1, 1, "tanh")
+        layer = DenseLayer(1, 1)
         layer.W[:] = 1.0
         layer.b[:] = 0.0
         out = layer.forward(np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(0.46211716, abs=1e-8)
-
-    def test_linear_identity(self):
-        layer = DenseLayer(3, 3, "linear")
-        layer.W[:] = np.eye(3)
-        layer.b[:] = 0.0
-        x = np.random.default_rng(0).standard_normal((5, 3))
-        assert np.array_equal(layer.forward(x), x)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             DenseLayer(3, 2).forward(np.ones((4, 5)))
 
     def test_forward_deterministic(self):
-        layer = DenseLayer(4, 3, "tanh", np.random.default_rng(1))
+        layer = DenseLayer(4, 3, np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((6, 4))
         assert np.array_equal(layer.forward(x), layer.forward(x))
 
 
 class TestDenseBackward:
     def test_zero_grad_out(self):
-        layer = DenseLayer(4, 2, "tanh", np.random.default_rng(0))
+        layer = DenseLayer(4, 2, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((3, 4))
         layer.forward(x)
         grad_in = layer.backward(np.zeros((3, 2)))
@@ -97,13 +90,13 @@ class TestDenseBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        layer = DenseLayer(4, 2, "tanh", rng)
+        layer = DenseLayer(4, 2, rng)
         x = rng.standard_normal((3, 4))
         assert layer_grad_check(layer, x, seed=0) < 1e-6
 
     def test_duplicated_rows_double_weight_grad(self):
         rng = np.random.default_rng(3)
-        layer = DenseLayer(4, 2, "tanh", rng)
+        layer = DenseLayer(4, 2, rng)
         x = rng.standard_normal((1, 4))
         g = rng.standard_normal((1, 2))
         layer.forward(x)
@@ -205,7 +198,7 @@ class TestRepeatAndTimeDistributed:
         assert grad.tolist() == [[3.0, 3.0]]
 
     def test_time_distributed_zero_weights(self):
-        layer = TimeDistributedDense(4, 2, "tanh")
+        layer = TimeDistributedDense(4, 2)
         layer.inner.W[:] = 0.0
         out = layer.forward(np.ones((2, 5, 4)))
         assert not out.any()
@@ -216,7 +209,7 @@ class TestRepeatAndTimeDistributed:
 
     def test_time_distributed_grad_check(self):
         rng = np.random.default_rng(2)
-        layer = TimeDistributedDense(4, 3, "tanh", rng)
+        layer = TimeDistributedDense(4, 3, rng)
         x = rng.standard_normal((2, 5, 4))
         assert layer_grad_check(layer, x, seed=4) < 1e-4
 

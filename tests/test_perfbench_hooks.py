@@ -4,6 +4,7 @@ its class. It also reads the pipeline's files to check each run. These tests
 fail when a refactor removes a name it relies on or changes a file it reads."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from collections import Counter
@@ -92,6 +93,24 @@ def test_kernel_pass_runs(arch, model, shape):
     assert step["n"] == 1 and np.isfinite(step["p50"])
     assert len(out) == 2 * len(model.layers) + 1
     assert all(np.array_equal(a, b) for a, b in zip(before, model.parameters()))
+
+
+def test_kernel_script_writes_every_kernel(tmp_path):
+    # the script as the benchmark runs it: both models built by keyword,
+    # each layer named by its class, one timed sample per kernel
+    path = tmp_path / "kernels.json"
+    assert load_script("kernels").main([str(path), "1"]) == 0
+    out = json.loads(path.read_text())
+    kinds = {"dense_ae": ("dense",) * 6,
+             "lstm_ae": ("lstm", "lstm", "repeat", "lstm", "lstm", "tdense")}
+    expected = {"neuralnet.sigmoid_256x16_us"}
+    for arch, layers in kinds.items():
+        expected.add(f"neuralnet.{arch}.adam_step_ms")
+        expected.update(f"neuralnet.{arch}.L{k}_{kind}.{way}_ms"
+                        for k, kind in enumerate(layers)
+                        for way in ("forward", "backward"))
+    assert set(out) == expected and len(expected) == 27
+    assert all(entry["n"] == 1 for entry in out.values())
 
 
 def run(args):
