@@ -22,6 +22,7 @@ from aedetect import (
     generate,
     label_samples,
     metrics,
+    partition_items,
     plan_split,
     score_pointwise_mse,
     train,
@@ -46,35 +47,32 @@ print(f"split: {plan.train_indices.size} train / "
       f"{plan.validation_indices.size} val / {plan.test_indices.size} test "
       f"({labels[plan.test_indices].mean():.0%} of test is faulty)")
 
+# --- one snapshot item per row, in the partition of that row
+(train_x, _, train_y), (val_x, _, val_y), (test_x, test_rows, truth) = \
+    partition_items(scaled, labels, plan.parts, None, "train", "val", "test")
+
 # --- train on healthy snapshots only
 model = DenseAutoencoder(d=log.n_channels, seed=SEED)
-model, report, _ = train(
-    model,
-    scaled[plan.train_indices],
-    scaled[plan.validation_indices],
-    TrainConfig(seed=SEED),
-    train_labels=labels[plan.train_indices],
-    val_labels=labels[plan.validation_indices],
-)
+model, report, _ = train(model, train_x, val_x, TrainConfig(seed=SEED),
+                         train_labels=train_y, val_labels=val_y)
 print(f"trained {report.epochs_run} epochs ({report.stop_reason}), "
       f"val loss {report.val_losses[0]:.5f} -> {report.val_losses[-1]:.5f}")
 
 # --- threshold on training scores, flag the test partition
-train_scores = score_pointwise_mse(model, scaled[plan.train_indices],
-                                   from_training=True)
-threshold = fit_threshold(train_scores, alpha=95.0)
+threshold = fit_threshold(score_pointwise_mse(model, train_x, from_training=True),
+                          alpha=95.0)
 print(f"threshold tau = {threshold.tau:.6f} "
       f"(95th percentile of {threshold.fitted_on} training scores)")
 
-test_scores = score_pointwise_mse(model, scaled[plan.test_indices])
+test_scores = score_pointwise_mse(model, test_x, test_rows)
 flags = detect(test_scores, threshold)
 print()
-print(format_metrics_table(metrics(confusion(flags, labels[plan.test_indices]))))
+print(format_metrics_table(metrics(confusion(flags, truth))))
 
 # --- how each injected fault scored
 print()
 for fault in config.faults:
     rows = np.arange(fault.start, fault.start + fault.length)
-    sel = np.isin(plan.test_indices, rows)
+    sel = np.isin(test_rows, rows)
     print(f"{fault.mode:15s} recall {flags[sel].mean():.3f} "
           f"median score {np.median(test_scores.scores[sel]):.5f}")

@@ -21,6 +21,7 @@ from aedetect import (
     generate,
     label_samples,
     metrics,
+    partition_items,
     plan_split,
     score_mahalanobis,
     score_pointwise_mse,
@@ -35,19 +36,15 @@ labels = label_samples(log, schedule)
 plan = plan_split(labels, 0.9, 0.2, seed=SEED)
 scaler = fit_scaler(log.values, plan.pool_indices, labels)
 scaled = apply_scaler(log.values, scaler)
-truth = labels[plan.test_indices]
+(train_x, _, train_y), (val_x, _, val_y), (test_x, _, truth) = partition_items(
+    scaled, labels, plan.parts, None, "train", "val", "test")
 
 
 def run(loss):
     model = DenseAutoencoder(d=log.n_channels, seed=SEED)
-    model, report, cov = train(
-        model,
-        scaled[plan.train_indices],
-        scaled[plan.validation_indices],
-        TrainConfig(seed=SEED, loss=loss),
-        train_labels=labels[plan.train_indices],
-        val_labels=labels[plan.validation_indices],
-    )
+    model, report, cov = train(model, train_x, val_x,
+                               TrainConfig(seed=SEED, loss=loss),
+                               train_labels=train_y, val_labels=val_y)
     if loss == "mahalanobis":
         score = lambda x, **kw: score_mahalanobis(model, cov, x, **kw)
         print(f"[{loss}] warm-up {report.warmup_epochs} epochs, "
@@ -56,9 +53,8 @@ def run(loss):
     else:
         score = lambda x, **kw: score_pointwise_mse(model, x, **kw)
         print(f"[{loss}] ran {report.epochs_run} epochs")
-    threshold = fit_threshold(
-        score(scaled[plan.train_indices], from_training=True), alpha=95.0)
-    flags = detect(score(scaled[plan.test_indices]), threshold)
+    threshold = fit_threshold(score(train_x, from_training=True), alpha=95.0)
+    flags = detect(score(test_x), threshold)
     return flags, metrics(confusion(flags, truth))
 
 

@@ -54,6 +54,7 @@ from .preprocess import (
     fit_scaler,
     impute_cascade,
     invert_scaler,
+    partition_items,
     partition_windows,
     plan_split,
 )

@@ -92,6 +92,14 @@ class RunConfig:
             raise ValidationError(f"alpha must lie in (0, 100], got {self.alpha}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for key in ("window_length", "window_stride"):
+            if getattr(self, key) < 1:
+                raise ValidationError(
+                    f"--pipeline.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("train_ratio", "validation_ratio"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise ValidationError(
+                    f"--pipeline.{key} must lie in (0, 1), got {getattr(self, key)}")
 
     @property
     def out_path(self) -> Path:
@@ -230,9 +238,7 @@ def cmd_prepare(config: RunConfig) -> int:
     dataset.write_table(out / "labels.csv", LABELS_HEADER, (
         f"{i},{stamp},{int(flag)}" for i, (stamp, flag)
         in enumerate(zip(dataset.format_timestamps(stamps), labels))))
-    with open(out / "scaler.json", "w", encoding="utf-8") as fh:
-        json.dump(scaler.to_doc(), fh, indent=1)
-        fh.write("\n")
+    dataset.write_json(out / "scaler.json", scaler.to_doc())
 
     summary = {
         "rows": scaled.shape[0],
@@ -245,9 +251,7 @@ def cmd_prepare(config: RunConfig) -> int:
         "validation_rows": int(plan.validation_indices.size),
         "test_rows": int(plan.test_indices.size),
     }
-    with open(out / "prep_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    dataset.write_json(out / "prep_summary.json", summary)
     print(f"prepared {scaled.shape[0]} rows x {scaled.shape[1]} channels "
           f"({summary['missing_cells_after']} missing cells remain); "
           f"train/val/test = {summary['train_rows']}/"
@@ -299,50 +303,46 @@ def _load_prepared(config: RunConfig) -> Prepared:
     return Prepared(plan, *matrices, labels, stamps, scaler)
 
 
-def _items(data: Prepared, model, stride: int | None, *parts: str):
-    """[(items, row per item, fault flag per item)] of each named partition;
-    an item belongs to the partition of its last row. A dense item is one
-    row. LSTM items are the model's windows at `stride`, cut once per call
-    and never across a gap: from the test rows when the test partition is
-    asked for alone, otherwise from the healthy pool (train and val rows).
-    Each partition's windows are a window set over the one scaled log,
-    subset by end row, so no window is copied until a batch gathers it."""
-    codes = [preprocess.PARTITIONS.index(part) for part in parts]
-    if isinstance(model, LstmAutoencoder):
+def _items(data: Prepared, spec: WindowSpec | None, *parts: str):
+    """[(items, row per item, fault flag per item)] of each named partition,
+    by the item rule of `preprocess.partition_items`. LSTM items are its
+    windows over the one scaled log, scattered back from the three partition
+    files. A dense item is one row, so the partition files, which `prepare`
+    cut by that rule, are handed over as loaded."""
+    if spec is not None:
         full = np.empty((data.labels.size, data.train.shape[1]))
         for code, part in enumerate(preprocess.PARTITIONS):
             full[data.plan.parts == code] = getattr(data, part)
-        rows = (data.plan.test_indices if parts == ("test",)
-                else data.plan.pool_indices)
-        windows, flags, ends = preprocess.partition_windows(
-            full, data.labels, rows, WindowSpec(model.window_length, stride))
-        keeps = [data.plan.parts[ends] == code for code in codes]
-        found = [(windows.subset(keep), ends[keep], flags[keep]) for keep in keeps]
-    else:
-        rows = [np.flatnonzero(data.plan.parts == code) for code in codes]
-        found = [(getattr(data, part), part_rows, data.labels[part_rows])
-                 for part, part_rows in zip(parts, rows)]
-    for part, (items, _rows, _flags) in zip(parts, found):
-        if items.shape[0] == 0:
+        return preprocess.partition_items(full, data.labels, data.plan.parts, spec,
+                                          *parts)
+    found = []
+    for part in parts:
+        rows = np.flatnonzero(data.plan.parts == preprocess.PARTITIONS.index(part))
+        if rows.size == 0:
             raise ValidationError(f"the {part} partition yields no items")
+        found.append((getattr(data, part), rows, data.labels[rows]))
     return found
 
 
 def _load_stage(config: RunConfig, thresholded: bool = True):
-    """(model file, prepared data) of a later stage. The model file alone
-    decides how items are windowed and scored, and it must carry the scaler
-    that scaled the prepared data."""
+    """(model file, its window spec, prepared data) of a later stage. The
+    model file alone decides how items are windowed (a dense model's spec is
+    None) and scored, and it must carry the scaler that scaled the prepared
+    data."""
     bundle = load_model(config.model_path)
-    if isinstance(bundle.model, LstmAutoencoder) and bundle.window_stride is None:
-        raise ValidationError(f"{config.model_path} records no window recipe; "
-                              "re-run train")
+    spec = None
+    if isinstance(bundle.model, LstmAutoencoder):
+        if bundle.window_stride is None:
+            raise ValidationError(f"{config.model_path} records no window recipe; "
+                                  "re-run train")
+        spec = WindowSpec(bundle.model.window_length, bundle.window_stride)
     if thresholded and bundle.threshold is None:
         raise ValidationError("model has no fitted threshold; run `threshold` first")
     data = _load_prepared(config)
     if data.scaler.to_doc() != bundle.scaler.to_doc():
         raise ValidationError(f"{config.out_path / 'scaler.json'} differs from the "
                               f"scaler in {config.model_path}; re-run train")
-    return bundle, data
+    return bundle, spec, data
 
 
 def _score(bundle: ModelBundle, items, indices,
@@ -364,16 +364,14 @@ def cmd_train(config: RunConfig) -> int:
     data = _load_prepared(config)
     d = data.train.shape[1]
     if config.architecture == "dense_ae":
-        model, stride, length = DenseAutoencoder(d=d, seed=config.seed), None, 1
+        model, spec = DenseAutoencoder(d=d, seed=config.seed), None
     else:
-        model = LstmAutoencoder(d=d, window_length=config.window_length,
-                                seed=config.seed)
-        stride, length = config.window_stride, config.window_length
+        spec = WindowSpec(config.window_length, config.window_stride)
+        model = LstmAutoencoder(d=d, window_length=spec.length, seed=config.seed)
     (train_items, _, train_labels), (val_items, _, val_labels) = _items(
-        data, model, stride, "train", "val")
+        data, spec, "train", "val")
     # detect and eval score the test items
-    if preprocess.window_ends(data.plan.test_indices,
-                              WindowSpec(length, stride or 1)).size == 0:
+    if preprocess.window_ends(data.plan.test_indices, spec or WindowSpec(1)).size == 0:
         raise ValidationError("the test partition yields no items")
     trained, report, cov = training.train(
         model, train_items, val_items, train_config,
@@ -382,7 +380,8 @@ def cmd_train(config: RunConfig) -> int:
 
     out = config.out_path
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ModelBundle(trained, data.scaler, covariance=cov, window_stride=stride)
+    bundle = ModelBundle(trained, data.scaler, covariance=cov,
+                         window_stride=None if spec is None else spec.stride)
     save_model(bundle, config.model_path)
     report.write_csv(out / "train_report.csv")
     print(f"trained {config.architecture} for {report.epochs_run} epochs "
@@ -392,8 +391,8 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_threshold(config: RunConfig) -> int:
-    bundle, data = _load_stage(config, thresholded=False)
-    [(items, rows, _flags)] = _items(data, bundle.model, bundle.window_stride, "train")
+    bundle, spec, data = _load_stage(config, thresholded=False)
+    [(items, rows, _flags)] = _items(data, spec, "train")
     scores = _score(bundle, items, rows, from_training=True)
     bundle.threshold = detector.fit_threshold(scores, config.alpha)
     save_model(bundle, config.model_path)
@@ -404,8 +403,8 @@ def cmd_threshold(config: RunConfig) -> int:
 
 
 def cmd_detect(config: RunConfig) -> int:
-    bundle, data = _load_stage(config)
-    [(items, rows, _truth)] = _items(data, bundle.model, bundle.window_stride, "test")
+    bundle, spec, data = _load_stage(config)
+    [(items, rows, _truth)] = _items(data, spec, "test")
     series = _score(bundle, items, rows)
     flags = detector.detect(series, bundle.threshold)
     out = config.out_path
@@ -420,9 +419,9 @@ def cmd_detect(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    bundle, data = _load_stage(config)
+    bundle, spec, data = _load_stage(config)
     out = config.out_path
-    [(_, expected, truth)] = _items(data, bundle.model, bundle.window_stride, "test")
+    [(_, expected, truth)] = _items(data, spec, "test")
     del data
     rows, scores, flagged = array("q"), array("d"), bytearray()
 
@@ -452,7 +451,7 @@ def cmd_eval(config: RunConfig) -> int:
     report = evaluation.metrics(evaluation.confusion(flags, truth))
     evaluation.write_metrics_csv(report, out / "metrics.csv")
     table = evaluation.format_metrics_table(report)
-    with open(out / "metrics.txt", "w", encoding="utf-8") as fh:
+    with dataset.replacing(out / "metrics.txt") as fh:
         fh.write(table + "\n")
     print(table)
     return EXIT_OK

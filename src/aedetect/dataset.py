@@ -13,8 +13,11 @@ File formats:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -42,6 +45,30 @@ FORMAT_BLOCK = 4096
 ONE_MINUTE = np.timedelta64(1, "m")
 
 
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """A UTF-8 text handle on a sibling temporary file that replaces `path`
+    only once the block ends without error, so a writer that raises or is
+    killed mid-way leaves the old file whole. Every pipeline file is written
+    through it; on an error the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """One JSON document, indented by one space and ended by a newline."""
+    with replacing(path) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def write_table(path, header, lines) -> None:
     """One CSV table: UTF-8, the header row as csv.writer writes it, then
     each string of the iterable `lines` as one body row, written as given and
@@ -53,7 +80,7 @@ def write_table(path, header, lines) -> None:
     canonical stamp or a fixed name, none of which holds a comma, a quote or
     a line break. So the bytes are those csv.writer writes for the same
     cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(line + "\r\n" for line in lines)
 

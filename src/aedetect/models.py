@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import write_json
 from .detector import ThresholdSpec
 from .errors import ModelFormatError, ValidationError
 from .neuralnet import DenseLayer, LstmLayer, RepeatVector, TimeDistributedDense
@@ -265,9 +266,7 @@ def from_document(doc: dict) -> ModelBundle:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_document(bundle), fh, indent=1)
-        fh.write("\n")
+    write_json(path, to_document(bundle))
 
 
 def load_model(path) -> ModelBundle:

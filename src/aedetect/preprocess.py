@@ -4,7 +4,8 @@ The cascade order is fixed: drop fully-empty channels, impute remaining gaps
 (linear interpolation, then backward fill for leading runs, then forward fill
 for trailing runs), scale with a MinMax transform fitted on healthy training
 rows only, split 90/10 chronologically over healthy samples, and segment into
-sliding windows.
+sliding windows. An item, a row or a window, belongs to the partition of its
+last row (`partition_items`).
 """
 
 from __future__ import annotations
@@ -286,6 +287,37 @@ def partition_windows(
     faults = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool))))
     return (WindowSet(np.asarray(matrix, dtype=np.float64), ends, spec.length),
             faults[ends + 1] > faults[ends + 1 - spec.length], ends)
+
+
+def partition_items(
+    scaled: np.ndarray,
+    labels: np.ndarray,
+    parts: np.ndarray,
+    spec: WindowSpec | None,
+    *names: str,
+) -> list[tuple[np.ndarray | WindowSet, np.ndarray, np.ndarray]]:
+    """[(items, row per item, fault flag per item)] of each named partition
+    of one scaled log, by the one item rule: an item belongs to the partition
+    of its last row. With `spec` None an item is one row, `scaled[rows]`.
+    Otherwise items are windows cut by one `partition_windows` call, never
+    across a gap: over the runs of test rows when "test" is asked for alone,
+    else over the runs of pool (train and val) rows. A partition that yields
+    no items raises ValidationError naming it."""
+    codes = [PARTITIONS.index(name) for name in names]
+    if spec is None:
+        rows = [np.flatnonzero(parts == code) for code in codes]
+        found = [(scaled[part_rows], part_rows, labels[part_rows])
+                 for part_rows in rows]
+    else:
+        test = PARTITIONS.index("test")
+        rows = np.flatnonzero(parts == test if codes == [test] else parts != test)
+        windows, flags, ends = partition_windows(scaled, labels, rows, spec)
+        keeps = [parts[ends] == code for code in codes]
+        found = [(windows.subset(keep), ends[keep], flags[keep]) for keep in keeps]
+    for name, (items, _rows, _flags) in zip(names, found):
+        if len(items) == 0:
+            raise ValidationError(f"the {name} partition yields no items")
+    return found
 
 
 def write_matrix_csv(matrix: np.ndarray, channel_names, path) -> None:

@@ -29,6 +29,7 @@ from aedetect import (
     matrix_inverse_sqrt,
     metrics,
     mse_loss,
+    partition_items,
     partition_windows,
     plan_split,
     score_mahalanobis,
@@ -276,31 +277,24 @@ def synthetic_run():
 def test_acceptance_5_dense_end_to_end(synthetic_run):
     start = time.monotonic()
     config, labels, plan, scaler, scaled = synthetic_run
-    truth = labels[plan.test_indices]
+    (train_x, _, train_y), (val_x, _, val_y), (test_x, _, truth) = partition_items(
+        scaled, labels, plan.parts, None, "train", "val", "test")
 
     model = DenseAutoencoder(d=config.n_channels, seed=ACCEPTANCE_SEED)
-    trained, _, _ = train(model, scaled[plan.train_indices],
-                          scaled[plan.validation_indices],
-                          TrainConfig(seed=ACCEPTANCE_SEED),
-                          train_labels=labels[plan.train_indices],
-                          val_labels=labels[plan.validation_indices])
-    spec = fit_threshold(
-        score_pointwise_mse(trained, scaled[plan.train_indices], from_training=True),
-        95.0)
-    flags = detect(score_pointwise_mse(trained, scaled[plan.test_indices]), spec)
+    trained, _, _ = train(model, train_x, val_x, TrainConfig(seed=ACCEPTANCE_SEED),
+                          train_labels=train_y, val_labels=val_y)
+    spec = fit_threshold(score_pointwise_mse(trained, train_x, from_training=True),
+                         95.0)
+    flags = detect(score_pointwise_mse(trained, test_x), spec)
     mse_report = metrics(confusion(flags, truth))
 
     maha_model = DenseAutoencoder(d=config.n_channels, seed=ACCEPTANCE_SEED)
-    maha_trained, _, cov = train(maha_model, scaled[plan.train_indices],
-                                 scaled[plan.validation_indices],
+    maha_trained, _, cov = train(maha_model, train_x, val_x,
                                  TrainConfig(seed=ACCEPTANCE_SEED, loss="mahalanobis"),
-                                 train_labels=labels[plan.train_indices],
-                                 val_labels=labels[plan.validation_indices])
+                                 train_labels=train_y, val_labels=val_y)
     maha_spec = fit_threshold(
-        score_mahalanobis(maha_trained, cov, scaled[plan.train_indices],
-                          from_training=True), 95.0)
-    maha_flags = detect(
-        score_mahalanobis(maha_trained, cov, scaled[plan.test_indices]), maha_spec)
+        score_mahalanobis(maha_trained, cov, train_x, from_training=True), 95.0)
+    maha_flags = detect(score_mahalanobis(maha_trained, cov, test_x), maha_spec)
     maha_report = metrics(confusion(maha_flags, truth))
 
     elapsed = time.monotonic() - start
@@ -318,24 +312,17 @@ def test_acceptance_6_lstm_end_to_end(synthetic_run):
     start = time.monotonic()
     config, labels, plan, scaler, scaled = synthetic_run
     wspec = WindowSpec(5, 1)
-    pool_w, pool_labels, _ = partition_windows(scaled, labels, plan.pool_indices,
-                                               wspec)
-    rng = np.random.default_rng(ACCEPTANCE_SEED)
-    n_val = int(0.2 * pool_w.shape[0])
-    pick = np.sort(rng.choice(pool_w.shape[0], size=n_val, replace=False))
-    val_mask = np.zeros(pool_w.shape[0], dtype=bool)
-    val_mask[pick] = True
+    (train_w, _, train_labels), (val_w, _, val_labels) = partition_items(
+        scaled, labels, plan.parts, wspec, "train", "val")
 
     model = LstmAutoencoder(d=config.n_channels, window_length=5,
                             seed=ACCEPTANCE_SEED)
-    trained, _, _ = train(model, pool_w[~val_mask], pool_w[val_mask],
+    trained, _, _ = train(model, train_w, val_w,
                           TrainConfig(seed=ACCEPTANCE_SEED, learning_rate=1e-3),
-                          train_labels=pool_labels[~val_mask],
-                          val_labels=pool_labels[val_mask])
-    spec = fit_threshold(
-        score_window_mse(trained, pool_w[~val_mask], from_training=True), 95.0)
-    test_w, test_labels, _ = partition_windows(scaled, labels, plan.test_indices,
-                                               wspec)
+                          train_labels=train_labels, val_labels=val_labels)
+    spec = fit_threshold(score_window_mse(trained, train_w, from_training=True), 95.0)
+    [(test_w, _, test_labels)] = partition_items(scaled, labels, plan.parts, wspec,
+                                                 "test")
     flags = detect(score_window_mse(trained, test_w), spec)
     report = metrics(confusion(flags, test_labels))
 

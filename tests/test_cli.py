@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import aedetect
-from aedetect import training
+from aedetect import dataset, detector, preprocess, training
 from aedetect.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -34,8 +34,8 @@ from aedetect.cli import (
 )
 from aedetect.dataset import SensorLog, format_timestamps, write_sensor_csv, write_table
 from aedetect.errors import ParseError
-from aedetect.models import LstmAutoencoder, load_model
-from aedetect.preprocess import PARTITIONS, read_matrix_csv, read_split_plan
+from aedetect.models import load_model
+from aedetect.preprocess import PARTITIONS, WindowSpec, read_matrix_csv, read_split_plan
 
 
 def run(args):
@@ -367,6 +367,20 @@ class TestExitCodes:
                     f"--train.{key}", raw]) == EXIT_VALIDATION
         assert f"{key} must be positive and finite" in capsys.readouterr().err
         assert not model_file.exists()
+
+    @pytest.mark.parametrize("stage,architecture,key,raw", [
+        ("train", "lstm_ae", "window_length", "0"),
+        ("train", "lstm_ae", "window_stride", "0"),
+        ("train", "dense_ae", "window_length", "0"),
+        ("prepare", "dense_ae", "train_ratio", "1.5"),
+        ("prepare", "dense_ae", "validation_ratio", "0"),
+    ])
+    def test_bad_window_or_split_setting_exits_before_reading_files(
+            self, tmp_path, capsys, stage, architecture, key, raw):
+        assert run([stage, "--out-dir", tmp_path, "--paths.sensor_csv",
+                    tmp_path / "sensor.csv", "--pipeline.architecture", architecture,
+                    f"--pipeline.{key}", raw]) == EXIT_VALIDATION
+        assert f"--pipeline.{key} must" in capsys.readouterr().err
 
     def test_bad_train_setting_exits_before_reading_files(self, tmp_path, capsys):
         assert run(["train", "--out-dir", tmp_path,
@@ -1212,7 +1226,7 @@ class TestLstmItems:
         for code, part in enumerate(PARTITIONS):
             full[plan.parts == code] = read_matrix_csv(out / f"{part}.csv")[0]
         data = _load_prepared(RunConfig(out_dir=str(out)))
-        found = _items(data, LstmAutoencoder(8, 5), 1, "train", "val")
+        found = _items(data, WindowSpec(5, 1), "train", "val")
         for code, part in enumerate(("train", "val")):
             items, rows, _flags = found[code]
             assert np.array_equal(items, seen[part])
@@ -1231,3 +1245,66 @@ class TestLstmItems:
         threshold = json.loads((out / "model.json").read_text())["threshold"]
         assert threshold["fitted_on"] == np.count_nonzero(
             healthy_window_ends(parts) & (parts == PARTITIONS.index("train")))
+
+
+def library_log(out, seed=5):
+    """The scaled log, fault flags and partition codes of `out`'s sensor and
+    fault files at the default split, by the library calls `prepare` makes."""
+    log, _ = preprocess.drop_empty_channels(dataset.load_sensor_csv(out / "sensor.csv"))
+    log = preprocess.impute_cascade(log)
+    labels = dataset.label_samples(log, dataset.load_fault_intervals(out / "faults.csv"))
+    plan = preprocess.plan_split(labels, 0.9, 0.2, seed)
+    scaler = preprocess.fit_scaler(log.values, plan.pool_indices, labels)
+    return preprocess.apply_scaler(log.values, scaler), labels, plan.parts
+
+
+# each score kind's library scorer: (bundle, items, rows, from_training)
+SCORERS = {
+    "mse_point": lambda bundle, *args: detector.score_pointwise_mse(bundle.model,
+                                                                     *args),
+    "mahalanobis": lambda bundle, *args: detector.score_mahalanobis(
+        bundle.model, bundle.covariance, *args),
+    "mse_window": lambda bundle, *args: detector.score_window_mse(bundle.model, *args),
+}
+
+
+class TestOneItemAssembly:
+    """The CLI and the library cut the same items, so the two assemblies
+    cannot drift: `prepare`'s partition files are the library's dense items,
+    and per score kind, τ and scores.csv are the library's scores of
+    `partition_items`."""
+
+    def test_partition_files_are_the_dense_items(self, gappy_dir):
+        scaled, labels, parts = library_log(gappy_dir)
+        assert np.array_equal(read_split_plan(gappy_dir / "split_plan.csv").parts, parts)
+        found = preprocess.partition_items(scaled, labels, parts, None, *PARTITIONS)
+        for part, (items, _rows, _flags) in zip(PARTITIONS, found):
+            assert read_matrix_csv(gappy_dir / f"{part}.csv")[0].tobytes() \
+                == items.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_scores_are_the_library_scores_of_its_items(self, gappy_dir, tmp_path,
+                                                         kind):
+        out = tmp_path / "run"
+        shutil.copytree(gappy_dir, out)
+        run_stages(out, ("train", "threshold", "detect"), GOLDEN_FLAGS[kind])
+        bundle = load_model(out / "model.json")
+        spec = None
+        if bundle.window_stride is not None:
+            spec = WindowSpec(bundle.model.window_length, bundle.window_stride)
+        scaled, labels, parts = library_log(out)
+        score = SCORERS[kind]
+
+        [(items, rows, _flags)] = preprocess.partition_items(scaled, labels, parts,
+                                                             spec, "train")
+        tau = detector.fit_threshold(score(bundle, items, rows, True), 95.0)
+        assert tau.tau == bundle.threshold.tau and tau.kind == kind
+        assert tau.fitted_on == bundle.threshold.fitted_on
+
+        [(items, rows, _truth)] = preprocess.partition_items(scaled, labels, parts,
+                                                             spec, "test")
+        series = score(bundle, items, rows, False)
+        flags = detector.detect(series, bundle.threshold)
+        assert [(row[0], row[2], row[3]) for row in read_rows(out / "scores.csv")[1:]] \
+            == [(str(i), repr(float(score)), str(int(flag)))
+                for i, score, flag in zip(rows, series.scores, flags)]

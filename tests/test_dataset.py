@@ -350,6 +350,20 @@ CORRUPT_BYTES = {
 
 
 class TestTable:
+    def test_a_writer_that_raises_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["k"], ("old",))
+        old = path.read_bytes()
+
+        def lines():
+            yield "new"
+            raise RuntimeError("died mid-write")
+
+        with pytest.raises(RuntimeError, match="died mid-write"):
+            write_table(path, ["k"], lines())
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
     def test_round_trip_skips_blank_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["k", 'v,"w"'], ("a,0.1", "b,2.0"))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aedetect import models
 from aedetect.detector import ThresholdSpec
 from aedetect.errors import ModelFormatError
 from aedetect.models import (
@@ -225,3 +226,17 @@ class TestSerialization:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+def test_a_save_that_fails_mid_document_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    bundle = ModelBundle(DenseAutoencoder(d=3, seed=0), make_scaler(3))
+    save_model(bundle, path)
+    old = path.read_bytes()
+    # the layers serialise before the last key, which json cannot write
+    monkeypatch.setattr(models, "to_document",
+                        lambda b: {**to_document(b), "zz": object()})
+    with pytest.raises(TypeError):
+        save_model(bundle, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from aedetect.dataset import SensorLog
 from aedetect.errors import LeakageError, ParseError, ValidationError
 from aedetect.preprocess import (
+    PARTITIONS,
     ScalerParams,
     SplitPlan,
     WindowSpec,
@@ -16,6 +17,7 @@ from aedetect.preprocess import (
     fit_scaler,
     impute_cascade,
     invert_scaler,
+    partition_items,
     partition_windows,
     plan_split,
     read_matrix_csv,
@@ -414,15 +416,63 @@ class TestPartitionWindows:
         plan = plan_split(labels, seed=4)
         tracemalloc.start()
         try:
-            windows, flags, ends = partition_windows(matrix, labels,
-                                                     plan.pool_indices, spec)
-            found = [(windows.subset(keep), ends[keep], flags[keep])
-                     for keep in (plan.parts[ends] == code for code in (0, 1))]
+            found = partition_items(matrix, labels, plan.parts, spec, "train", "val")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(items) for items, _, _ in found) == ends.size > 2000
+        assert sum(len(items) for items, _, _ in found) \
+            == window_ends(plan.pool_indices, spec).size > 2000
         assert peak < 4 * matrix.nbytes
+
+
+def split_case(seed, n=300):
+    """A scaled log, its fault flags and partition codes: a chronological
+    pool with a seeded val draw, then test rows, with fault rows only in the
+    test part."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=bool)
+    labels[int(0.8 * n):] = rng.random(n - int(0.8 * n)) < 0.3
+    return rng.standard_normal((n, 3)), labels, plan_split(labels, 0.9, 0.2, seed).parts
+
+
+class TestPartitionItems:
+    """An item belongs to the partition of its last row."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_dense_item_is_one_row_of_its_partition(self, seed):
+        scaled, labels, parts = split_case(seed)
+        found = partition_items(scaled, labels, parts, None, *PARTITIONS)
+        for code, (items, rows, flags) in enumerate(found):
+            want = scaled[parts == code]
+            assert items.shape == want.shape and items.tobytes() == want.tobytes()
+            assert np.array_equal(rows, np.flatnonzero(parts == code))
+            assert np.array_equal(flags, labels[rows])
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_window_lies_in_one_run_and_belongs_to_its_end_row(self, seed, stride):
+        scaled, labels, parts = split_case(seed)
+        spec, test = WindowSpec(5, stride), PARTITIONS.index("test")
+        found = partition_items(scaled, labels, parts, spec, "train", "val")
+        found += partition_items(scaled, labels, parts, spec, "test")
+        for code, (items, rows, flags) in enumerate(found):
+            assert len(items) == rows.size == flags.size > 0
+            assert (parts[rows] == code).all()
+            for window, end, flag in zip(items, rows, flags):
+                span = slice(end - 4, end + 1)
+                # pool windows over pool rows only, test windows over test rows
+                assert ((parts[span] == test) == (code == test)).all()
+                assert np.array_equal(window, scaled[span])
+                assert flag == labels[span].any()
+        pool_ends = window_ends(np.flatnonzero(parts != test), spec)
+        assert found[0][1].size + found[1][1].size == pool_ends.size
+
+    @pytest.mark.parametrize("spec", [None, WindowSpec(5, 1)], ids=["dense", "lstm"])
+    def test_an_empty_partition_is_named(self, spec):
+        scaled, labels, parts = split_case(0)
+        parts = np.where(parts == PARTITIONS.index("val"), 0, parts)
+        with pytest.raises(ValidationError, match="the val partition yields no items"):
+            partition_items(scaled, labels, parts, spec, "train", "val")
 
 
 def concatenated_partition_windows(matrix, labels, rows, spec):
