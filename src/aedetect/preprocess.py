@@ -205,7 +205,8 @@ def plan_split(
     """Chronological healthy split: first ``train_ratio`` of healthy rows form
     the training pool; the rest of the healthy rows plus all fault rows form
     the test set. The validation set is a seeded uniform sample of
-    ``validation_ratio`` of the pool.
+    ``validation_ratio`` of the pool. A split that leaves the train or the
+    validation set empty raises ValidationError naming it.
     """
     if not 0.0 < train_ratio < 1.0 or not 0.0 < validation_ratio < 1.0:
         raise ValidationError("split ratios must lie strictly between 0 and 1")
@@ -218,6 +219,10 @@ def plan_split(
     parts[pool] = 0
     rng = np.random.default_rng(seed)
     parts[rng.choice(pool, size=int(validation_ratio * pool.size), replace=False)] = 1
+    for code in (0, 1):  # the test rows hold the last healthy row, after the pool
+        if not (parts == code).any():
+            raise ValidationError(f"the split leaves the {PARTITIONS[code]} "
+                                  "partition empty")
     return SplitPlan(parts)
 
 
@@ -299,10 +304,10 @@ def partition_items(
     """[(items, row per item, fault flag per item)] of each named partition
     of one scaled log, by the one item rule: an item belongs to the partition
     of its last row. With `spec` None an item is one row, `scaled[rows]`.
-    Otherwise items are windows cut by one `partition_windows` call, never
-    across a gap: over the runs of test rows when "test" is asked for alone,
-    else over the runs of pool (train and val) rows. A partition that yields
-    no items raises ValidationError naming it."""
+    Otherwise items are windows, which lie within runs of pool (train and
+    val) rows or of test rows, never across a gap: one `partition_windows`
+    call per side asked for. A partition that yields no items raises
+    ValidationError naming it."""
     codes = [PARTITIONS.index(name) for name in names]
     if spec is None:
         rows = [np.flatnonzero(parts == code) for code in codes]
@@ -310,10 +315,14 @@ def partition_items(
                  for part_rows in rows]
     else:
         test = PARTITIONS.index("test")
-        rows = np.flatnonzero(parts == test if codes == [test] else parts != test)
-        windows, flags, ends = partition_windows(scaled, labels, rows, spec)
-        keeps = [parts[ends] == code for code in codes]
-        found = [(windows.subset(keep), ends[keep], flags[keep]) for keep in keeps]
+        cuts = {side: partition_windows(scaled, labels,
+                                        np.flatnonzero((parts == test) == side), spec)
+                for side in {code == test for code in codes}}
+        found = []
+        for code in codes:
+            windows, flags, ends = cuts[code == test]
+            keep = parts[ends] == code
+            found.append((windows.subset(keep), ends[keep], flags[keep]))
     for name, (items, _rows, _flags) in zip(names, found):
         if len(items) == 0:
             raise ValidationError(f"the {name} partition yields no items")

@@ -312,8 +312,8 @@ def test_acceptance_6_lstm_end_to_end(synthetic_run):
     start = time.monotonic()
     config, labels, plan, scaler, scaled = synthetic_run
     wspec = WindowSpec(5, 1)
-    (train_w, _, train_labels), (val_w, _, val_labels) = partition_items(
-        scaled, labels, plan.parts, wspec, "train", "val")
+    (train_w, _, train_labels), (val_w, _, val_labels), (test_w, _, test_labels) = \
+        partition_items(scaled, labels, plan.parts, wspec, "train", "val", "test")
 
     model = LstmAutoencoder(d=config.n_channels, window_length=5,
                             seed=ACCEPTANCE_SEED)
@@ -321,8 +321,6 @@ def test_acceptance_6_lstm_end_to_end(synthetic_run):
                           TrainConfig(seed=ACCEPTANCE_SEED, learning_rate=1e-3),
                           train_labels=train_labels, val_labels=val_labels)
     spec = fit_threshold(score_window_mse(trained, train_w, from_training=True), 95.0)
-    [(test_w, _, test_labels)] = partition_items(scaled, labels, plan.parts, wspec,
-                                                 "test")
     flags = detect(score_window_mse(trained, test_w), spec)
     report = metrics(confusion(flags, test_labels))
 

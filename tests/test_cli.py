@@ -841,6 +841,20 @@ class TestPrepare:
             fault_rows = {int(r[0]) for r in reader if r[2] == "1"}
         assert fault_rows <= partitions["test"]
 
+    def test_an_empty_partition_exits_2_before_writing(self, tmp_path, capsys):
+        # 300 rows at ratios 0.05 / 0.05 split 14 train, 0 val and 286 test rows
+        assert run(["synth", "--out-dir", tmp_path, "--seed", 1,
+                    "--synth.n_samples", 300]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["prepare", "--out-dir", tmp_path, "--seed", 1,
+                    "--paths.sensor_csv", tmp_path / "sensor.csv",
+                    "--paths.fault_csv", tmp_path / "faults.csv",
+                    "--pipeline.train_ratio", 0.05,
+                    "--pipeline.validation_ratio", 0.05]) == EXIT_VALIDATION
+        assert "the split leaves the val partition empty" in capsys.readouterr().err
+        assert not (tmp_path / "split_plan.csv").exists()
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestDetectAndEval:
     def test_scores_csv_one_row_per_test_item(self, pipeline_dir):

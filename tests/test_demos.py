@@ -1,4 +1,4 @@
-"""Every demo script and every `python` block of README.md runs to
+"""Every `python` block of README.md, the library walkthrough, runs to
 completion against the installed package."""
 
 import os
@@ -12,7 +12,6 @@ import pytest
 import aedetect
 
 ROOT = Path(__file__).parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
                            (ROOT / "README.md").read_text(encoding="utf-8"),
                            re.DOTALL | re.MULTILINE)
@@ -21,18 +20,13 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
 def run_python(args, cwd):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(aedetect.__file__).parents[1]))
+    # a hung walkthrough fails instead of stalling the suite
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_demos_are_found():
-    assert DEMOS and README_BLOCKS
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_exits_0(demo, tmp_path):
-    done = run_python([str(demo)], tmp_path)
-    assert done.returncode == 0, done.stderr
+    assert README_BLOCKS
 
 
 @pytest.mark.parametrize("code", README_BLOCKS,

@@ -260,6 +260,17 @@ class TestPlanSplit:
         assert abs(pool - 185_000) / 185_000 < 0.01
         assert abs(test - 35_000) / 35_000 < 0.011
 
+    @pytest.mark.parametrize("train_ratio, validation_ratio, empty", [
+        (0.05, 0.05, "val"),   # a pool of 5 rows draws int(0.25) = 0 val rows
+        (0.005, 0.5, "train"),  # a pool of int(0.5) = 0 rows
+    ])
+    def test_an_empty_train_or_val_partition_is_named(self, train_ratio,
+                                                      validation_ratio, empty):
+        labels = np.array([False] * 100 + [True] * 10)
+        with pytest.raises(ValidationError,
+                           match=f"leaves the {empty} partition empty"):
+            plan_split(labels, train_ratio, validation_ratio, seed=0)
+
     def test_no_healthy_is_error(self):
         with pytest.raises(ValidationError):
             plan_split(np.array([True, True]), 0.9, 0.2, seed=0)
@@ -466,6 +477,22 @@ class TestPartitionItems:
                 assert flag == labels[span].any()
         pool_ends = window_ends(np.flatnonzero(parts != test), spec)
         assert found[0][1].size + found[1][1].size == pool_ends.size
+
+    @pytest.mark.parametrize("names", [PARTITIONS, ("val", "test")],
+                             ids=["all", "val-test"])
+    @pytest.mark.parametrize("spec", [None, WindowSpec(5, 1), WindowSpec(5, 2)],
+                             ids=["dense", "stride1", "stride2"])
+    def test_pool_and_test_partitions_in_one_call_equal_separate_calls(
+            self, spec, names):
+        scaled, labels, parts = split_case(1)
+        found = partition_items(scaled, labels, parts, spec, *names)
+        for name, (items, rows, flags) in zip(names, found):
+            [(want_items, want_rows, want_flags)] = partition_items(
+                scaled, labels, parts, spec, name)
+            assert items.shape == want_items.shape
+            assert items.tobytes() == want_items.tobytes()
+            assert rows.tobytes() == want_rows.tobytes()
+            assert flags.tobytes() == want_flags.tobytes()
 
     @pytest.mark.parametrize("spec", [None, WindowSpec(5, 1)], ids=["dense", "lstm"])
     def test_an_empty_partition_is_named(self, spec):
